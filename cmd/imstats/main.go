@@ -123,7 +123,7 @@ func sampleStats(g *graph.Graph, rr int, model string, seed uint64, spillBudget,
 	st := ris.NewStore(s, seed, ris.StoreOptions{
 		SpillBudgetBytes: budget, SpillDir: spillDir,
 	})
-	st.Generate(rr)
+	st.GenerateTo(rr)
 	fmt.Printf("rr-sets:       %d\n", st.Len())
 	fmt.Printf("rr-items:      %d\n", st.Items())
 	fmt.Printf("rr-resident:   %.1f MB\n", float64(st.Bytes())/(1<<20))

@@ -25,7 +25,8 @@ type Options struct {
 	Delta   float64 // 0 ⇒ 1/n, the paper's setting
 	Seed    uint64
 	Workers int
-	// Shards ≥ 1 selects the id-sharded RR store (bit-identical results);
+	// Shards is the RR store's id-shard count (≤ 1 selects one in-process
+	// shard; bit-identical results);
 	// ShardWorkers bounds per-shard parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int

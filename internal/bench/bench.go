@@ -33,9 +33,9 @@ type Config struct {
 	GraphFile string
 	// Workers for sampling and Monte-Carlo evaluation.
 	Workers int
-	// Shards ≥ 1 stores RR sets id-sharded (ris.ShardedCollection) so the
-	// harness can compare flat vs sharded topologies on identical
-	// workloads; results are bit-identical. ShardWorkers bounds per-shard
+	// Shards > 1 stores RR sets in that many id shards so the harness can
+	// compare topologies on identical workloads; ≤ 1 selects one in-process
+	// shard. Results are bit-identical. ShardWorkers bounds per-shard
 	// parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int

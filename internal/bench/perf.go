@@ -90,8 +90,13 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	}
 	const streamLen = 20000
 	const hiStreamLen = 2000
-	col := ris.NewCollection(s, seed+1, 0)
-	col.Generate(streamLen)
+	// grown returns a fresh default-topology store grown to count sets.
+	grown := func(smp *ris.Sampler, seed uint64, opt ris.StoreOptions, count int) ris.Store {
+		c := ris.NewStore(smp, seed, opt)
+		c.GenerateTo(count)
+		return c
+	}
+	col := grown(s, seed+1, ris.StoreOptions{}, streamLen)
 
 	// Seed set + mark vector for the coverage pair.
 	seeds := maxcover.Greedy(col, col.Len(), 50).Seeds
@@ -122,36 +127,26 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	add("generate/serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewCollection(s, uint64(i)+seed+100, 1)
-			c.Generate(streamLen)
+			grown(s, uint64(i)+seed+100, ris.StoreOptions{Workers: 1}, streamLen)
 		}
 	})
+	// The default one-shard store at full parallelism against four shards
+	// on the same workload: the shard-parallel topology.
 	add("generate/parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewCollection(s, uint64(i)+seed+100, 0)
-			c.Generate(streamLen)
-		}
-	})
-	// Flat vs sharded on the same workload: one shard must not regress the
-	// flat path, and multiple shards show the shard-parallel topology.
-	add("generate/sharded1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := ris.NewShardedCollection(s, uint64(i)+seed+100, 1, 0)
-			c.Generate(streamLen)
+			grown(s, uint64(i)+seed+100, ris.StoreOptions{}, streamLen)
 		}
 	})
 	add("generate/sharded4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewShardedCollection(s, uint64(i)+seed+100, 4, 0)
-			c.Generate(streamLen)
+			grown(s, uint64(i)+seed+100, ris.StoreOptions{Shards: 4}, streamLen)
 		}
 	})
-	// Remote pair: the sharded1 workload pushed through the cross-process
+	// Remote pair: the one-shard workload pushed through the cross-process
 	// wire protocol — an in-process ShardServer dialed over net.Pipe, so the
-	// delta against generate/sharded1 is pure protocol cost (framing, chunk
+	// delta against generate/parallel is pure protocol cost (framing, chunk
 	// encode/decode, mirror append) without kernel sockets.
 	remoteSrv := ris.NewShardServer(g, ris.ShardServerOptions{})
 	remoteDial := func(string) (net.Conn, error) {
@@ -162,10 +157,9 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	add("generate/remote1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := ris.NewStore(s, uint64(i)+seed+100, ris.StoreOptions{
+			grown(s, uint64(i)+seed+100, ris.StoreOptions{
 				RemoteWorkers: []string{"pipe"}, RemoteDial: remoteDial,
-			})
-			c.Generate(streamLen)
+			}, streamLen)
 		}
 	})
 	// Kernel pairs: plan vs oracle, 1 worker, identical workloads.
@@ -174,8 +168,7 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 			b.ReportAllocs()
 			sk := smp.WithKernel(k)
 			for i := 0; i < b.N; i++ {
-				c := ris.NewCollection(sk, uint64(i)+seed+200, 1)
-				c.Generate(n)
+				grown(sk, uint64(i)+seed+200, ris.StoreOptions{Workers: 1}, n)
 			}
 		})
 	}

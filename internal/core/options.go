@@ -46,13 +46,12 @@ type Options struct {
 	// draw from the same distribution but consume different PRNG sequences,
 	// so results are deterministic per kernel, not across kernels.
 	Kernel ris.Kernel
-	// Shards ≥ 1 stores RR sets in an id-sharded store
-	// (ris.ShardedCollection) generated shard-parallel; ≤0 selects the
-	// flat ris.Collection. Results are bit-identical at any shard count —
+	// Shards is the number of id shards of the RR store
+	// (ris.ShardedCollection), generated shard-parallel; ≤ 1 selects one
+	// in-process shard. Results are bit-identical at any shard count —
 	// sharding only changes the memory topology.
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1;
-	// ≤0 derives max(1, Workers/Shards) so the total worker budget holds.
+	// ShardWorkers bounds per-shard generation parallelism; ≤0 derives max(1, Workers/Shards) so the total worker budget holds.
 	ShardWorkers int
 	// RemoteWorkers lists shard-worker addresses; non-empty stores RR sets
 	// in a remote-sharded store (one shard per worker process), overriding
@@ -175,9 +174,9 @@ func (o *Options) normalize(s *ris.Sampler) error {
 	return nil
 }
 
-// newStore builds the RR-set store the options describe: flat for
-// Shards ≤ 1, sharded otherwise, remote-sharded when RemoteWorkers is set.
-// All are bit-identical in results.
+// newStore builds the RR-set store the options describe: one in-process
+// shard for Shards ≤ 1, that many shards otherwise, remote-sharded when
+// RemoteWorkers is set. All are bit-identical in results.
 func (o *Options) newStore(s *ris.Sampler) ris.Store {
 	return ris.NewStore(s, o.Seed, ris.StoreOptions{
 		Workers: o.Workers, Shards: o.Shards, ShardWorkers: o.ShardWorkers,

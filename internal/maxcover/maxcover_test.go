@@ -10,7 +10,9 @@ import (
 	"stopandstare/internal/ris"
 )
 
-func buildCollection(t testing.TB, n, mEdges, sets int, seed uint64) *ris.Collection {
+// buildCollection returns a default-topology RR store over a random graph,
+// grown to sets RR sets.
+func buildCollection(t testing.TB, n, mEdges, sets int, seed uint64) ris.Store {
 	t.Helper()
 	g, err := gen.ErdosRenyi(n, int64(mEdges), seed, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -20,14 +22,14 @@ func buildCollection(t testing.TB, n, mEdges, sets int, seed uint64) *ris.Collec
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := ris.NewCollection(s, seed+1, 2)
-	col.Generate(sets)
+	col := ris.NewStore(s, seed+1, ris.StoreOptions{Workers: 2})
+	col.GenerateTo(sets)
 	return col
 }
 
 // bruteForceBest finds the optimal coverage over all size-k subsets of the
 // nodes that appear in any set (tiny instances only).
-func bruteForceBest(col *ris.Collection, upto, k int) int64 {
+func bruteForceBest(col ris.Store, upto, k int) int64 {
 	var nodes []uint32
 	seen := map[uint32]bool{}
 	for i := 0; i < upto; i++ {

@@ -29,7 +29,7 @@ import (
 //
 // The solver consumes the ris.Store interface only, and is insensitive to
 // the store's postings-run ordering (gain updates and covered-set walks are
-// order-independent sums), so flat and sharded stores yield bit-identical
+// order-independent sums), so every shard count yields bit-identical
 // Seeds and Coverage — the property the differential harness pins.
 type Solver struct {
 	c       ris.Store

@@ -1,7 +1,7 @@
 // Package ris_test hosts the differential harness of the Store interface:
 // the full algorithms (SSA, D-SSA, the TVM budget sweep) are run on the
-// flat Collection and on ShardedCollection across shard and worker counts,
-// and every observable output — Seeds, Coverage, CoverageSamples, and the
+// default one-shard store and on multi-shard stores across shard and worker
+// counts, and every observable output — Seeds, Coverage, CoverageSamples, and the
 // per-checkpoint traces — must be bit-identical. This is what turns the
 // "sharding cannot change results" claim from a comment into a tested
 // invariant: any drift in shard-boundary bookkeeping, postings dedup, or
@@ -22,15 +22,16 @@ import (
 	"stopandstare/internal/tvm"
 )
 
-// The differential grid of the issue: shard counts {1, 2, 3, 7} × per-shard
-// worker counts {1, 4}. Shards ≥ 1 in the option structs selects a real
-// ShardedCollection (1 is a genuine single-shard sharded store, not an
-// alias for flat), so every grid point exercises the sharded code path;
-// the flat reference uses Shards = 0.
+// The differential grid: shard counts {2, 3, 7} × per-shard worker counts
+// {1, 4}, each against the reference built with Shards = 0 — the default
+// topology, one in-process shard (Shards ≤ 1 all select it).
 var (
-	diffShardCounts  = []int{1, 2, 3, 7}
+	diffShardCounts  = []int{2, 3, 7}
 	diffWorkerCounts = []int{1, 4}
 )
+
+// grow appends count RR sets to st.
+func grow(st ris.Store, count int) { st.GenerateTo(st.Len() + count) }
 
 func diffGraph(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -105,8 +106,8 @@ func TestDifferentialDSSAFlatVsSharded(t *testing.T) {
 }
 
 // differentialCore runs the grid under BOTH sampling kernels: the compiled
-// plan kernels (the default since PR 4) and the Bernoulli oracle. The flat
-// vs sharded bit-identity must hold per kernel — kernels consume different
+// plan kernels (the default) and the Bernoulli oracle. The one-shard vs
+// multi-shard bit-identity must hold per kernel — kernels consume different
 // PRNG sequences, so cross-kernel traces legitimately differ, but within a
 // kernel no store topology may leak into results.
 func differentialCore(t *testing.T, algo string) {
@@ -116,10 +117,10 @@ func differentialCore(t *testing.T, algo string) {
 		t.Fatal(err)
 	}
 	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		refRes, refTrace := runCore(t, s, algo, 0, 0, kernel) // flat, default workers
-		// The flat store must itself be worker-count independent.
+		refRes, refTrace := runCore(t, s, algo, 0, 0, kernel) // one shard, default workers
+		// The reference must itself be repeatable.
 		res1, trace1 := runCore(t, s, algo, 0, 0, kernel)
-		assertResultsIdentical(t, fmt.Sprintf("%s/%v/flat-repeat", algo, kernel), refRes, res1, refTrace, trace1)
+		assertResultsIdentical(t, fmt.Sprintf("%s/%v/default-repeat", algo, kernel), refRes, res1, refTrace, trace1)
 		for _, shards := range diffShardCounts {
 			for _, workers := range diffWorkerCounts {
 				ctx := fmt.Sprintf("%s/%v/shards=%d/shardWorkers=%d", algo, kernel, shards, workers)
@@ -132,7 +133,7 @@ func differentialCore(t *testing.T, algo string) {
 
 // TestDifferentialBudgetedSweepFlatVsSharded runs the cost-aware TVM sweep
 // (WRIS sampling + incremental ratio greedy + KMN fix-up) over several
-// budgets on one shared store, flat vs sharded, asserting identical seeds,
+// budgets on one shared store, one shard vs several, asserting identical seeds,
 // benefit estimates, costs and sample counts per budget.
 func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 	g := diffGraph(t)
@@ -183,15 +184,15 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 
 // TestDifferentialSolversOnShardedStore closes the loop below the
 // algorithms: the incremental Solver and BudgetedSolver, fed checkpoints on
-// a sharded store, must match from-scratch solves on a flat store of the
-// same stream — the maxcover layer's own flat-vs-sharded differential.
+// a multi-shard store, must match from-scratch solves on a one-shard store
+// of the same stream — the maxcover layer's own topology differential.
 func TestDifferentialSolversOnShardedStore(t *testing.T) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := ris.NewCollection(s, 31, 2)
+	flat := ris.NewStore(s, 31, ris.StoreOptions{Workers: 2})
 	costs := make([]float64, g.NumNodes())
 	for v := range costs {
 		costs[v] = float64(v%3) + 1

@@ -42,10 +42,10 @@ func TestRISEqualsForwardOnReverseGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 3, 2)
+	col := newOneShard(s, 3, 2)
 	const N = 200000
-	col.Generate(N)
-	freq := float64(len(col.Index(0))) / N * s.Scale()
+	col.GenerateTo(N)
+	freq := float64(len(indexUpto(col, 0, col.Len()))) / N * s.Scale()
 	if math.Abs(freq-exact) > 0.05 {
 		t.Fatalf("RR frequency estimate %v vs exact %v", freq, exact)
 	}
@@ -63,8 +63,8 @@ func TestArenaBitIdenticalAcrossWorkersAndSchedules(t *testing.T) {
 	}
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := mustSampler(t, g, model)
-		ref := NewCollection(s, 123, 1)
-		ref.Generate(2500)
+		ref := newOneShard(s, 123, 1)
+		ref.GenerateTo(2500)
 		variants := []struct {
 			name     string
 			workers  int
@@ -75,7 +75,7 @@ func TestArenaBitIdenticalAcrossWorkersAndSchedules(t *testing.T) {
 			{"w8-irregular", 8, []int{1, 3, 700, 701, 2499, 2500}},
 		}
 		for _, vc := range variants {
-			col := NewCollection(s, 123, vc.workers)
+			col := newOneShard(s, 123, vc.workers)
 			for _, target := range vc.schedule {
 				col.GenerateTo(target)
 			}
@@ -96,7 +96,7 @@ func TestArenaBitIdenticalAcrossWorkersAndSchedules(t *testing.T) {
 			// The index must present the same postings even though the two
 			// collections carry different CSR block boundaries.
 			for v := uint32(0); int(v) < g.NumNodes(); v++ {
-				ia, ib := ref.Index(v), col.Index(v)
+				ia, ib := indexUpto(ref, v, ref.Len()), indexUpto(col, v, col.Len())
 				if len(ia) != len(ib) {
 					t.Fatalf("%v/%s: node %d postings length differs", model, vc.name, v)
 				}
@@ -119,13 +119,13 @@ func TestPostingsMatchIndexUpto(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 7, 3)
+	col := newOneShard(s, 7, 3)
 	for _, target := range []int{300, 600, 1200} { // three CSR blocks
 		col.GenerateTo(target)
 	}
 	for _, upto := range []int{0, 1, 299, 300, 301, 600, 750, 1200, 5000} {
 		for v := uint32(0); int(v) < g.NumNodes(); v += 5 {
-			want := col.IndexUpto(v, upto)
+			want := indexUpto(col, v, upto)
 			var got []int32
 			it := col.PostingsUpto(v, upto)
 			prev := int32(-1)

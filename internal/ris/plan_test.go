@@ -240,9 +240,9 @@ func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, k Kernel, s
 		t.Fatal(err)
 	}
 	s = s.WithKernel(k)
-	col := NewCollection(s, 97, 2)
+	col := newOneShard(s, 97, 2)
 	const N = 400000
-	col.Generate(N)
+	col.GenerateTo(N)
 	mark := make([]bool, g.NumNodes())
 	for _, v := range seeds {
 		mark[v] = true

@@ -17,13 +17,13 @@ func TestPrefixStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.LT)
-	col := NewCollection(s, 277, 3)
-	col.Generate(500)
+	col := newOneShard(s, 277, 3)
+	col.GenerateTo(500)
 	snapshot := make([][]uint32, 500)
 	for i := 0; i < 500; i++ {
 		snapshot[i] = append([]uint32(nil), col.Set(i)...)
 	}
-	col.Generate(1500) // grow 4x
+	grow(col, 1500) // grow 4x
 	if col.Len() != 2000 {
 		t.Fatalf("len %d", col.Len())
 	}
@@ -40,8 +40,8 @@ func TestPrefixStability(t *testing.T) {
 	}
 	// And the grown stream matches a from-scratch generation of the same
 	// 2000 ids (append-only ≡ restart, the resumability property).
-	fresh := NewCollection(s, 277, 1)
-	fresh.Generate(2000)
+	fresh := newOneShard(s, 277, 1)
+	fresh.GenerateTo(2000)
 	for i := 0; i < 2000; i++ {
 		a, b := col.Set(i), fresh.Set(i)
 		if len(a) != len(b) {

@@ -44,12 +44,13 @@ type RecoveryInfo struct {
 	Generation uint64
 }
 
-// snapFile is an open, read-only mapped snapshot. The store recovered from
-// it holds a reference so the mapping outlives every aliasing slice; the
-// finalizer releases it when the store becomes unreachable (stores have no
-// Close — the SpillFile discipline).
+// snapFile is a read-only mapped snapshot. Every restored arena extent and
+// index block that aliases the mapping points at it (their mapped/spilled
+// fields), and the mapping's finalizer releases it once none of them is
+// reachable — so the mapping outlives every reader of an aliasing unit,
+// whether or not the store itself is still referenced (stores have no
+// Close).
 type snapFile struct {
-	f    *os.File
 	path string
 	size int64
 	m    *spillMapping
@@ -65,36 +66,28 @@ func openSnapFile(path string) (*snapFile, error) {
 		}
 		return nil, err
 	}
+	defer f.Close() // the mapping outlives the descriptor
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	size := fi.Size()
 	if size < snapHdrSize {
-		f.Close()
 		return nil, &SnapshotCorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes", size)}
 	}
 	m, err := mapSpillBlock(f, 0, size)
 	if err != nil {
-		f.Close()
 		return nil, &SnapshotCorruptError{Path: path, Reason: err.Error()}
 	}
-	sf := &snapFile{f: f, path: path, size: size, m: m}
-	runtime.SetFinalizer(sf, func(sf *snapFile) { sf.close() })
-	return sf, nil
+	runtime.SetFinalizer(m, (*spillMapping).release)
+	return &snapFile{path: path, size: size, m: m}, nil
 }
 
+// close releases the mapping at once; only for snapshots nothing was
+// restored from.
 func (sf *snapFile) close() {
-	runtime.SetFinalizer(sf, nil)
-	if sf.m != nil {
-		sf.m.release()
-		sf.m = nil
-	}
-	if sf.f != nil {
-		sf.f.Close()
-		sf.f = nil
-	}
+	runtime.SetFinalizer(sf.m, nil)
+	sf.m.release()
 }
 
 // blockPayload validates the block expected at off — header structure,
@@ -260,23 +253,33 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 		md.epochs = append(md.epochs, e)
 	}
 	nsegs := int(r.u32())
-	want := 1
-	if md.shards > 0 {
-		want = md.shards
-	}
 	for i := 0; i < nsegs && r.err == nil; i++ {
 		md.segs = append(md.segs, decodeSegMeta(&r))
 	}
 	if r.err != nil {
 		return nil, corrupt("meta payload: %v", r.err)
 	}
-	if nsegs != want {
+	if md.shards == 0 {
+		// A flat-store snapshot from before the flat store became the
+		// one-shard store: one segment, no gid table, no epoch table. Its
+		// stream is exactly one shard holding the single epoch [0, length).
+		if nep != 0 || md.remote {
+			return nil, corrupt("flat meta with %d epochs (remote=%v)", nep, md.remote)
+		}
+		md.shards, S = 1, 1
+		if md.length > 0 {
+			md.epochs = []genEpoch{{from: 0, to: md.length, bounds: []int{0, md.length}, base: []int{0}}}
+		}
+	}
+	if nsegs != md.shards {
 		return nil, corrupt("meta declares %d segments for %d shards", nsegs, md.shards)
 	}
 	for i := range md.segs {
 		sm := &md.segs[i]
-		if sm.hasGids != (md.shards > 0) {
-			return nil, corrupt("segment %d gids flag %v under %d shards", i, sm.hasGids, md.shards)
+		// Only one in-process shard may omit the gid table (local id is
+		// global id there).
+		if !sm.hasGids && (md.remote || md.shards > 1) {
+			return nil, corrupt("segment %d has no gids under %d shards (remote=%v)", i, md.shards, md.remote)
 		}
 		if err := validateSegMeta(sm, md.n); err != nil {
 			return nil, corrupt("segment %d: %v", i, err)
@@ -296,7 +299,7 @@ func decodeStoreMeta(payload []byte, path string) (*snapMetaD, error) {
 		}
 		prev = e.to
 	}
-	if md.shards > 0 && prev != md.length {
+	if prev != md.length {
 		return nil, corrupt("epochs cover %d of %d sets", prev, md.length)
 	}
 	return md, nil
@@ -320,19 +323,12 @@ func validateMeta(md *snapMetaD, s *Sampler, seed uint64, opt StoreOptions) erro
 	if md.weighted != (s.root != nil) || md.whash != weightsHash(s.weights) {
 		return mism("weight vector differs")
 	}
-	switch {
-	case len(opt.RemoteWorkers) > 0:
+	if len(opt.RemoteWorkers) > 0 {
 		if !md.remote || md.shards != len(opt.RemoteWorkers) {
 			return mism("store has %d remote shards, snapshot %d (remote=%v)", len(opt.RemoteWorkers), md.shards, md.remote)
 		}
-	case opt.Shards < 1:
-		if md.shards != 0 {
-			return mism("store is flat, snapshot has %d shards", md.shards)
-		}
-	default:
-		if md.remote || md.shards != opt.Shards {
-			return mism("store has %d shards, snapshot %d (remote=%v)", opt.Shards, md.shards, md.remote)
-		}
+	} else if shards := max(opt.Shards, 1); md.remote || md.shards != shards {
+		return mism("store has %d shards, snapshot %d (remote=%v)", shards, md.shards, md.remote)
 	}
 	return nil
 }
@@ -440,7 +436,9 @@ func restoreSegment(sg *segment, r *segRestore, c int, sf *snapFile, g *graph.Gr
 		return 0
 	}
 	sg.offsets = r.offsets[:c+1]
-	if r.sm.hasGids {
+	if sg.gids != nil {
+		// A one-shard store recovering a snapshot that kept an (identity)
+		// table leaves gids nil: it needs none.
 		sg.gids = r.gids[:c]
 	}
 	for ei, x := range r.sm.exts {
@@ -579,8 +577,8 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 		}
 		var g int
 		switch {
-		case md.shards == 0:
-			g = r.badFrom
+		case !r.sm.hasGids:
+			g = r.badFrom // one in-process shard: local id is global id
 		case r.gids != nil:
 			g = int(r.gids[r.badFrom])
 		default:
@@ -592,7 +590,7 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 	}
 
 	epochs := md.epochs
-	if cutoff < md.length && md.shards > 0 {
+	if cutoff < md.length {
 		kept := make([]genEpoch, 0, len(epochs))
 		for i := range epochs {
 			e := epochs[i]
@@ -618,38 +616,27 @@ func Recover(s *Sampler, seed uint64, opt StoreOptions, dir string) (Store, *Rec
 
 	// Per-segment kept-set counts under the cutoff.
 	cs := make([]int, len(md.segs))
-	if md.shards == 0 {
-		cs[0] = cutoff
-	} else {
-		for i := range epochs {
-			e := &epochs[i]
-			for s := range cs {
-				cs[s] += e.bounds[s+1] - e.bounds[s]
-			}
+	for i := range epochs {
+		e := &epochs[i]
+		for s := range cs {
+			cs[s] += e.bounds[s+1] - e.bounds[s]
 		}
 	}
 
-	st := NewStore(s, seed, opt)
+	st := NewStore(s, seed, opt).(*ShardedCollection)
 	info := &RecoveryInfo{
 		Discarded:     md.length - cutoff,
 		SnapshotBytes: sf.size,
 		Generation:    man.Generation,
 	}
-	switch c := st.(type) {
-	case *Collection:
-		info.RebuiltIndexBlocks += restoreSegment(&c.segment, &restores[0], cs[0], sf, s.g, true)
-		c.snap = sf
-	case *ShardedCollection:
-		for i := range c.segs {
-			info.RebuiltIndexBlocks += restoreSegment(c.segs[i], &restores[i], cs[i], sf, s.g, c.remotes == nil)
-		}
-		c.epochs = epochs
-		c.length = cutoff
-		c.snap = sf
-		for i, rs := range c.remotes {
-			rs.key = md.keys[i]
-			rs.nonce = md.nonces[i]
-		}
+	for i := range st.segs {
+		info.RebuiltIndexBlocks += restoreSegment(st.segs[i], &restores[i], cs[i], sf, s.g, st.remotes == nil)
+	}
+	st.epochs = epochs
+	st.length = cutoff
+	for i, rs := range st.remotes {
+		rs.key = md.keys[i]
+		rs.nonce = md.nonces[i]
 	}
 
 	// Resample the discarded suffix deterministically. A remote store may be

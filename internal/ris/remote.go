@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"time"
 )
@@ -67,6 +68,11 @@ const (
 // maxFrame bounds a single frame's payload; a worker answering a postings
 // or generate request larger than this must be mis-framed.
 const maxFrame = 1 << 30
+
+// frameStep bounds how far a frame's payload allocation may run ahead of
+// the bytes received: payloads are read in steps of at most this size, so
+// a corrupt or hostile length prefix costs one step, not maxFrame.
+const frameStep = 1 << 20
 
 // DefaultRemoteTimeout bounds one RPC exchange (including the sampling work
 // a Generate triggers on the worker) when StoreOptions.RemoteTimeout is 0.
@@ -176,19 +182,27 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, rejecting payloads over maxFrame.
+// readFrame reads one frame, rejecting payloads over maxFrame. The payload
+// buffer grows in frameStep increments as bytes arrive (a frame up to
+// frameStep is one exact allocation).
 func readFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	payload = make([]byte, 0, min(n, frameStep))
+	for len(payload) < n {
+		step := min(n-len(payload), frameStep)
+		payload = slices.Grow(payload, step)
+		got, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
+		if err != nil {
+			return 0, nil, err
+		}
+		payload = payload[:len(payload)+got]
 	}
 	return hdr[4], payload, nil
 }

@@ -159,7 +159,7 @@ func TestRemoteStoreParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := ris.NewCollection(s, 31, 2)
+	flat := ris.NewStore(s, 31, ris.StoreOptions{Workers: 2})
 	cluster := newRemoteCluster(g, "w0", "w1")
 	st := ris.NewStore(s, 31, ris.StoreOptions{
 		RemoteWorkers: []string{"w0", "w1"}, RemoteDial: cluster.dial,

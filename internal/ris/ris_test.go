@@ -29,6 +29,31 @@ func mustSampler(t testing.TB, g *graph.Graph, model diffusion.Model) *Sampler {
 	return s
 }
 
+// newOneShard returns an empty store in the default topology — one
+// in-process shard — with the given generation workers (≤ 0 selects
+// GOMAXPROCS).
+func newOneShard(s *Sampler, seed uint64, workers int) *ShardedCollection {
+	return NewShardedCollection(s, seed, 1, workers)
+}
+
+// grow appends count RR sets to st (a no-op for count ≤ 0).
+func grow(st Store, count int) { st.GenerateTo(st.Len() + count) }
+
+// indexUpto returns the ids < upto of RR sets containing v, concatenated
+// across st's postings runs in iteration order — globally ascending on a
+// one-shard store.
+func indexUpto(st Store, v uint32, upto int) []int32 {
+	var out []int32
+	it := st.PostingsUpto(v, upto)
+	for {
+		run, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, run...)
+	}
+}
+
 func TestSamplerValidation(t *testing.T) {
 	if _, err := NewSampler(nil, diffusion.IC); err == nil {
 		t.Fatal("nil graph should fail")
@@ -154,9 +179,9 @@ func lemma1Check(t *testing.T, g *graph.Graph, model diffusion.Model, seeds []ui
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, model)
-	col := NewCollection(s, 23, 2)
+	col := newOneShard(s, 23, 2)
 	const N = 400000
-	col.Generate(N)
+	col.GenerateTo(N)
 	mark := make([]bool, g.NumNodes())
 	for _, v := range seeds {
 		mark[v] = true
@@ -200,8 +225,8 @@ func TestFigure1Example(t *testing.T) {
 		{U: 0, V: 3, W: 0.7}, // a -> d
 	})
 	s := mustSampler(t, g, diffusion.LT)
-	col := NewCollection(s, 29, 1)
-	col.Generate(20000)
+	col := newOneShard(s, 29, 1)
+	col.GenerateTo(20000)
 	counts := make([]int, 4)
 	for i := 0; i < col.Len(); i++ {
 		for _, v := range col.Set(i) {
@@ -224,9 +249,9 @@ func TestWRISWeightedRootDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollection(s, 31, 2)
+	col := newOneShard(s, 31, 2)
 	const N = 200000
-	col.Generate(N)
+	col.GenerateTo(N)
 	counts := make([]int, 4)
 	for i := 0; i < N; i++ {
 		counts[col.Set(i)[0]]++
@@ -255,9 +280,9 @@ func TestWRISBenefitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []uint32{0}
-	col := NewCollection(s, 37, 2)
+	col := newOneShard(s, 37, 2)
 	const N = 300000
-	col.Generate(N)
+	col.GenerateTo(N)
 	mark := make([]bool, 5)
 	mark[0] = true
 	est := s.Scale() * float64(col.Coverage(mark)) / float64(N)
@@ -279,11 +304,11 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		s := mustSampler(t, g, model)
-		c1 := NewCollection(s, 99, 1)
-		c4 := NewCollection(s, 99, 4)
-		c1.Generate(3000)
-		c4.Generate(1000) // grow incrementally too
-		c4.Generate(2000)
+		c1 := newOneShard(s, 99, 1)
+		c4 := newOneShard(s, 99, 4)
+		c1.GenerateTo(3000)
+		c4.GenerateTo(1000) // grow incrementally too
+		c4.GenerateTo(3000)
 		if c1.Len() != c4.Len() {
 			t.Fatal("length mismatch")
 		}
@@ -310,11 +335,11 @@ func TestCollectionIndexConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 51, 2)
-	col.Generate(2000)
+	col := newOneShard(s, 51, 2)
+	col.GenerateTo(2000)
 	// index[v] lists exactly the sets containing v, ascending.
 	for v := uint32(0); int(v) < g.NumNodes(); v++ {
-		idx := col.Index(v)
+		idx := indexUpto(col, v, col.Len())
 		for i := 1; i < len(idx); i++ {
 			if idx[i-1] >= idx[i] {
 				t.Fatal("index not ascending")
@@ -335,7 +360,7 @@ func TestCollectionIndexConsistency(t *testing.T) {
 	}
 	total := 0
 	for v := uint32(0); int(v) < g.NumNodes(); v++ {
-		total += len(col.Index(v))
+		total += len(indexUpto(col, v, col.Len()))
 	}
 	if int64(total) != col.Items() {
 		t.Fatalf("index total %d != items %d", total, col.Items())
@@ -348,8 +373,8 @@ func TestCoverageRangeAgainstNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.LT)
-	col := NewCollection(s, 57, 2)
-	col.Generate(1500)
+	col := newOneShard(s, 57, 2)
+	col.GenerateTo(1500)
 	mark := make([]bool, 80)
 	mark[3], mark[17], mark[42] = true, true, true
 	for _, rangeCase := range [][2]int{{0, 1500}, {0, 750}, {750, 1500}, {100, 200}, {-5, 9999}} {
@@ -382,16 +407,16 @@ func TestIndexUpto(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 61, 1)
-	col.Generate(1000)
+	col := newOneShard(s, 61, 1)
+	col.GenerateTo(1000)
 	for v := uint32(0); v < 50; v += 7 {
-		pre := col.IndexUpto(v, 400)
+		pre := indexUpto(col, v, 400)
 		for _, id := range pre {
 			if id >= 400 {
 				t.Fatal("IndexUpto returned id beyond cutoff")
 			}
 		}
-		full := col.Index(v)
+		full := indexUpto(col, v, col.Len())
 		count := 0
 		for _, id := range full {
 			if id < 400 {
@@ -411,8 +436,8 @@ func TestWidthMatchesDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 71, 2)
-	col.Generate(500)
+	col := newOneShard(s, 71, 2)
+	col.GenerateTo(500)
 	var want int64
 	for i := 0; i < col.Len(); i++ {
 		for _, v := range col.Set(i) {
@@ -440,9 +465,9 @@ func TestCollectionBytesGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 77, 1)
+	col := newOneShard(s, 77, 1)
 	b0 := col.Bytes()
-	col.Generate(1000)
+	col.GenerateTo(1000)
 	if col.Bytes() <= b0 {
 		t.Fatal("Bytes did not grow with generation")
 	}
@@ -454,14 +479,14 @@ func TestGenerateToIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	col := NewCollection(s, 83, 1)
+	col := newOneShard(s, 83, 1)
 	col.GenerateTo(100)
 	col.GenerateTo(50) // no-op
 	if col.Len() != 100 {
 		t.Fatalf("len %d want 100", col.Len())
 	}
-	col.Generate(0) // no-op
-	col.Generate(-5)
+	col.GenerateTo(0) // no-op
+	col.GenerateTo(-5)
 	if col.Len() != 100 {
 		t.Fatalf("len %d want 100", col.Len())
 	}
@@ -475,8 +500,8 @@ func BenchmarkGenerateIC(b *testing.B) {
 	s := mustSampler(b, g, diffusion.IC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewCollection(s, uint64(i), 2)
-		col.Generate(10000)
+		col := newOneShard(s, uint64(i), 2)
+		col.GenerateTo(10000)
 	}
 }
 
@@ -488,8 +513,8 @@ func BenchmarkGenerateLT(b *testing.B) {
 	s := mustSampler(b, g, diffusion.LT)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewCollection(s, uint64(i), 2)
-		col.Generate(10000)
+		col := newOneShard(s, uint64(i), 2)
+		col.GenerateTo(10000)
 	}
 }
 

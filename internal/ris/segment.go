@@ -12,17 +12,17 @@ import (
 	"stopandstare/internal/rng"
 )
 
-// This file is the storage engine both RR-set stores are built from:
+// This file is the storage engine the RR-set store is built from:
 //
 //   - segment: a flat arena of RR sets plus a size-tiered CSR inverted
-//     index over them. Collection wraps a single segment covering the whole
-//     stream; ShardedCollection wraps one segment per shard, with gids
-//     mapping segment-local set indices to global stream ids.
+//     index over them. ShardedCollection wraps one segment per shard, with
+//     gids mapping segment-local set indices to global stream ids (no table
+//     when one in-process shard holds the whole stream).
 //   - sampleChunks: deterministic parallel generation of a global id range
 //     (RR set i is always produced by the PRNG stream (seed, i), so the
 //     output is bit-identical for any worker count and any sharding).
 //   - Postings: the zero-allocation iterator over a node's postings runs,
-//     able to walk one segment (flat) or a sequence of them (sharded).
+//     walking a sequence of segments.
 
 // chunkSize is the number of RR sets per parallel work unit.
 const chunkSize = 512
@@ -36,9 +36,9 @@ const indexItemsPerWorker = 1 << 13
 // segment-local sets [lfrom, lto): the sets containing node v within the
 // run are ids[starts[v]:starts[v+1]], ascending. The stored ids are GLOBAL
 // stream ids ([from, to) bounds them), so postings runs can be handed to
-// algorithms as-is regardless of which shard they came from; for the flat
-// Collection local and global indices coincide. One block is appended per
-// Generate call; small trailing blocks are merged size-tiered (see
+// algorithms as-is regardless of which shard they came from; in a one-shard
+// store local and global indices coincide. One block is appended per
+// growth call; small trailing blocks are merged size-tiered (see
 // segment.appendIndexBlock), so any call pattern leaves O(log |R|) blocks.
 type csrBlock struct {
 	from, to   int     // global id bounds: every stored id is in [from, to)
@@ -51,13 +51,13 @@ type csrBlock struct {
 }
 
 // segment is one arena + CSR index over a sub-stream of RR sets. It is not
-// a Store by itself: Collection and ShardedCollection layer id mapping,
-// generation and coverage queries on top.
+// a Store by itself: ShardedCollection layers id mapping, generation and
+// coverage queries on top.
 type segment struct {
 	n       int      // node count of the underlying graph
 	buf     []uint32 // arena tail: entries of sets not yet frozen into extents
 	offsets []int64  // len = nsets()+1; absolute item offsets across extents+tail
-	gids    []int32  // global id per local set; nil ⇒ identity (flat store)
+	gids    []int32  // global id per local set; nil ⇒ identity (one in-process shard)
 	blocks  []csrBlock
 	width   int64   // Σ w(R_j) over the segment's sets
 	cursor  []int32 // scratch for CSR construction, len = n
@@ -74,8 +74,8 @@ type segment struct {
 // [setFrom, setTo) whose items span absolute offsets [base, end). data is
 // either the original heap slice (resident) or an alias of the spill file's
 // shared mapping (mapped != nil). Extents are created by seal() only under
-// spill pressure, so the flat store's single-slice fast path is untouched
-// when spilling is off.
+// spill pressure, so the single-slice arena fast path is untouched when
+// spilling is off.
 type arenaExtent struct {
 	setFrom, setTo int
 	base, end      int64
@@ -219,8 +219,8 @@ type chunkResult struct {
 // sampleChunks generates the RR sets with global ids [gfrom, gto) in
 // parallel chunks. RR set i is always produced by the PRNG stream
 // (seed, i), so the output is bit-identical for any worker count — and for
-// any partition of the id space across segments, which is what makes the
-// sharded store's sample stream equal the flat one's.
+// any partition of the id space across segments, which is what makes every
+// shard count hold the same sample stream.
 func sampleChunks(s *Sampler, seed uint64, gfrom, gto, workers int) []chunkResult {
 	results, _ := sampleChunksCtx(context.Background(), s, seed, gfrom, gto, workers)
 	return results
@@ -455,14 +455,14 @@ func (sg *segment) buildBlockParallel(from, to int, starts, ids []int32, workers
 // ascending runs (one per CSR block). Obtain one via PostingsUpto or
 // PostingsRange on a Store. Within every run the global ids are strictly
 // ascending and each id appears exactly once across the whole iteration;
-// runs from a flat Collection are additionally ascending across run
-// boundaries, while a ShardedCollection yields each shard's runs in turn
-// (still disjoint, but interleaved in global id across shards). No consumer
-// of the Store interface may rely on cross-run ordering.
+// a one-shard store's runs are additionally ascending across run
+// boundaries, while several shards yield each shard's runs in turn (still
+// disjoint, but interleaved in global id across shards). No consumer of
+// the Store interface may rely on cross-run ordering.
 type Postings struct {
 	pre    [][]int32   // pre-fetched runs (remote shards), drained first
 	blocks []csrBlock  // blocks of the segment currently being walked
-	more   []*segment  // remaining segments (sharded stores only)
+	more   []*segment  // remaining segments
 	sp     *spillState // non-nil ⇒ stamp resident blocks' LRU recency
 	v      uint32
 	from   int

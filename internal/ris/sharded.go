@@ -12,21 +12,29 @@ import (
 	"stopandstare/internal/epoch"
 )
 
-// ShardedCollection is the id-sharded RR-set store: the global stream of RR
-// sets is partitioned across N shards, each owning its own arena + CSR
-// index (a segment). Every Generate call splits its contiguous global id
-// range [from, to) into N contiguous sub-ranges — one per shard, mirroring
-// how the flat store's CSR blocks each own a disjoint id range — and the
-// shards generate their sub-ranges in parallel, each with its own worker
-// pool and per-set re-seeded rng.Source streams.
+// ShardedCollection is the RR-set store: a growing stream of RR sets
+// R₁, R₂, … partitioned across N ≥ 1 shards, each owning its own arena +
+// CSR index (a segment). It supports the access patterns of all the
+// algorithms in this repository: SSA doubles the whole stream and runs
+// max-coverage over all of it; D-SSA splits the stream into a prefix R_t
+// and a suffix R^c_t (Alg. 4 lines 6–7), so range queries are first-class;
+// IMM/TIM grow the stream to an explicit θ.
+//
+// Every growth call splits its contiguous global id range [from, to) into
+// N contiguous sub-ranges — one per shard, each owning a disjoint id range
+// — and the shards generate their sub-ranges in parallel, each with its
+// own worker pool and per-set re-seeded rng.Source streams. With one
+// in-process shard (the default topology) local and global ids coincide,
+// so the segment keeps no gid table and its postings runs are globally
+// ascending.
 //
 // Because RR set i is always produced by the PRNG stream (seed, i)
-// (SeedStream), the sharded store holds exactly the sample stream the flat
-// Collection would: Set(i), Width, Items, every coverage count, and
-// therefore every algorithm result (Seeds, Coverage, checkpoint traces) are
-// bit-identical for any shard count and any worker count. That equivalence
-// is what makes sharding safe to grow into a NUMA- or machine-distributed
-// serving layer: the algorithms cannot observe the topology.
+// (SeedStream), every topology holds the same sample stream: Set(i),
+// Width, Items, every coverage count, and therefore every algorithm result
+// (Seeds, Coverage, checkpoint traces) are bit-identical for any shard
+// count and any worker count. That equivalence is what makes sharding safe
+// to grow into a NUMA- or machine-distributed serving layer: the
+// algorithms cannot observe the topology.
 //
 // Postings and coverage queries are answered by per-shard walks of the
 // epoch-aligned CSR blocks, merged at the shard boundary: each shard's
@@ -38,7 +46,7 @@ import (
 // Shards may also live in other processes: with remotes non-nil, shard s is
 // proxied by a RemoteShard client and segs[s] is the mirror arena its
 // Generate stream fills (see RemoteShard). Set/ForEachSet/CoverageRange are
-// served from the mirrors exactly as in-process; Generate, PostingsRange
+// served from the mirrors exactly as in-process; growth, PostingsRange
 // and CoverageRangeSeeds fan out to the workers. Bit-identity holds by the
 // same argument as in-process sharding — set content depends only on the
 // global id — and the differential harness proves it per topology.
@@ -54,11 +62,9 @@ type ShardedCollection struct {
 	spill   *spillState // shared spill tier across all segs; nil ⇒ disabled
 
 	covMark epoch.Marks // visited ids for CoverageRangeSeeds, grows to Len()
-
-	snap *snapFile // recovered-from snapshot; keeps its mapping alive
 }
 
-// genEpoch records how one Generate call's global id range [from, to) was
+// genEpoch records how one growth call's global id range [from, to) was
 // split across shards: shard s owns global ids [bounds[s], bounds[s+1]),
 // which start at local set index base[s] within its segment. The table is
 // what makes Set(i) O(log epochs): binary-search the epoch, compute the
@@ -69,10 +75,10 @@ type genEpoch struct {
 	base     []int // len = shards; local index of bounds[s] in segs[s]
 }
 
-// NewShardedCollection creates an empty sharded store with the given shard
-// count (≥ 1) and per-shard generation workers (≤ 0 selects
-// max(1, GOMAXPROCS/shards), keeping the total worker budget close to the
-// flat default).
+// NewShardedCollection creates an empty in-process store with the given
+// shard count (≤ 1 selects one shard) and per-shard generation workers
+// (≤ 0 selects max(1, GOMAXPROCS/shards), keeping the total worker budget
+// at one per core).
 func NewShardedCollection(s *Sampler, seed uint64, shards, shardWorkers int) *ShardedCollection {
 	if shards < 1 {
 		shards = 1
@@ -92,7 +98,9 @@ func NewShardedCollection(s *Sampler, seed uint64, shards, shardWorkers int) *Sh
 	n := s.g.NumNodes()
 	for i := range sc.segs {
 		sc.segs[i] = newSegment(n)
-		sc.segs[i].gids = []int32{} // non-nil: local indices map through gids
+		if shards > 1 {
+			sc.segs[i].gids = []int32{} // non-nil: local indices map through gids
+		}
 	}
 	return sc
 }
@@ -209,7 +217,7 @@ func (sc *ShardedCollection) Bytes() int64 {
 // SpillTo spills cold units across all shards until their total resident RR
 // bytes are ≤ budget (0 spills everything spillable); a no-op without a
 // spill tier. Counts as a mutation: callers must hold the same exclusivity
-// as Generate.
+// as growth.
 func (sc *ShardedCollection) SpillTo(budget int64) error {
 	if sc.spill == nil {
 		return nil
@@ -239,15 +247,11 @@ func (sc *ShardedCollection) epochIndex(i int) int {
 	return lo
 }
 
-// locate resolves a global set id to (segment, local index): O(log epochs)
-// plus an O(1) shard-formula step. Hot bulk scans avoid it via ForEachSet;
-// the solvers' covered-set walks pay it once per covered id, which is noise
-// next to touching the set's members but is short-circuited entirely for
-// the degenerate single-shard store (global id == local index there).
+// locate resolves a global set id to (segment, local index) in a
+// multi-shard store: O(log epochs) plus an O(1) shard-formula step. Hot
+// bulk scans avoid it via ForEachSet; the solvers' covered-set walks pay it
+// once per covered id, which is noise next to touching the set's members.
 func (sc *ShardedCollection) locate(i int) (*segment, int) {
-	if len(sc.segs) == 1 {
-		return sc.segs[0], i
-	}
 	e := &sc.epochs[sc.epochIndex(i)]
 	// Even-split inverse: bounds[s] = from + s·count/S (floored), so the
 	// shard index is s ≈ off·S/count, corrected by at most one step.
@@ -266,10 +270,15 @@ func (sc *ShardedCollection) locate(i int) (*segment, int) {
 	return sc.segs[s], e.base[s] + (i - e.bounds[s])
 }
 
-// Set returns RR set i. Identical content to the flat store's Set(i); the
-// lookup costs a binary search over generate-epochs, so bulk scans should
-// use ForEachSet instead.
+// Set returns RR set i as a sub-slice of its shard's arena. The slice must
+// not be modified, and is invalidated (but never mutated in place) by the
+// next growth. With several shards the lookup costs a binary search over
+// generate-epochs, so bulk scans should use ForEachSet instead; one shard
+// indexes its arena directly (global id == local index there).
 func (sc *ShardedCollection) Set(i int) []uint32 {
+	if len(sc.segs) == 1 {
+		return sc.segs[0].setAt(i)
+	}
 	sg, local := sc.locate(i)
 	return sg.setAt(local)
 }
@@ -311,44 +320,31 @@ func (sc *ShardedCollection) ForEachSet(from, to int, fn func(i int, set []uint3
 }
 
 // GenerateTo grows the store until it holds at least target RR sets.
+// Background never cancels, and non-cancellation failures panic as
+// *ShardError inside, so the error is structurally nil.
 func (sc *ShardedCollection) GenerateTo(target int) {
-	if extra := target - sc.length; extra > 0 {
-		sc.Generate(extra)
-	}
+	sc.GenerateToCtx(context.Background(), target)
 }
 
-// GenerateToCtx is GenerateTo with cooperative cancellation (see
-// GenerateCtx).
-func (sc *ShardedCollection) GenerateToCtx(ctx context.Context, target int) error {
-	if extra := target - sc.length; extra > 0 {
-		return sc.GenerateCtx(ctx, extra)
-	}
-	return nil
-}
-
-// Generate appends count new RR sets: the global id range [Len, Len+count)
-// is split into one contiguous sub-range per shard (balanced by SET COUNT
-// via the even-split formula — RR-set sizes are skewed, so shard item loads
-// can differ; balancing by items is impossible before sampling) and the
-// shards sample their sub-ranges concurrently,
-// each appending to its own arena and CSR index. Output is bit-identical
-// to the flat store for any shard/worker count, because set content depends
+// GenerateToCtx grows the store to at least target RR sets: the global id
+// range [Len, target) is split into one contiguous sub-range per shard
+// (balanced by SET COUNT via the even-split formula — RR-set sizes are
+// skewed, so shard item loads can differ; balancing by items is impossible
+// before sampling) and the shards sample their sub-ranges concurrently,
+// each appending to its own arena and CSR index block. Output is
+// bit-identical for any shard/worker count, because set content depends
 // only on the global id.
-func (sc *ShardedCollection) Generate(count int) {
-	// Background never cancels, and non-cancellation failures panic as
-	// *ShardError inside, so the error is structurally nil.
-	sc.GenerateCtx(context.Background(), count)
-}
-
-// GenerateCtx is Generate with cooperative cancellation. In-process shards
-// run a two-phase epoch — every shard SAMPLES its sub-range first (workers
-// checking ctx between chunk claims), and only if all sampling completed is
-// anything appended — so a canceled call mutates nothing. Remote shards
-// reuse the all-or-nothing mirror rollback (segSnap): on cancellation every
-// mirror is restored to its pre-call extent and ctx.Err() is returned;
-// workers that did append stay ahead and the idempotent generate redelivery
-// absorbs that on the next top-up.
-func (sc *ShardedCollection) GenerateCtx(ctx context.Context, count int) error {
+//
+// Cancellation is cooperative. In-process shards run a two-phase epoch —
+// every shard SAMPLES its sub-range first (workers checking ctx between
+// chunk claims), and only if all sampling completed is anything appended —
+// so a canceled call mutates nothing. Remote shards reuse the
+// all-or-nothing mirror rollback (segSnap): on cancellation every mirror is
+// restored to its pre-call extent and ctx.Err() is returned; workers that
+// did append stay ahead and the idempotent generate redelivery absorbs
+// that on the next top-up.
+func (sc *ShardedCollection) GenerateToCtx(ctx context.Context, target int) error {
+	count := target - sc.length
 	if count <= 0 {
 		return nil
 	}
@@ -408,9 +404,11 @@ func (sc *ShardedCollection) GenerateCtx(ctx context.Context, count int) error {
 				defer wg.Done()
 				lfrom := sg.nsets()
 				sg.appendResults(results)
-				sg.gids = slices.Grow(sg.gids, ghi-glo)
-				for g := glo; g < ghi; g++ {
-					sg.gids = append(sg.gids, int32(g))
+				if sg.gids != nil {
+					sg.gids = slices.Grow(sg.gids, ghi-glo)
+					for g := glo; g < ghi; g++ {
+						sg.gids = append(sg.gids, int32(g))
+					}
 				}
 				sg.appendIndexBlock(lfrom, sg.nsets(), sc.shardWorkers)
 			}(sc.segs[s], sampled[s], glo, ghi)
@@ -484,8 +482,9 @@ func (sc *ShardedCollection) PostingsUpto(v uint32, upto int) Postings {
 }
 
 // PostingsRange returns an iterator over the ids in [from, upto) of RR
-// sets containing v. Runs are ascending and disjoint; runs from different
-// shards interleave in global id (see Store). No allocation for in-process
+// sets containing v — the window D-SSA's verification walks (the holdout
+// half [half, 2·half)). Runs are ascending and disjoint; runs from
+// different shards interleave in global id (see Store). No allocation for in-process
 // shards; remote shards answer from worker-local CSR blocks, so the runs
 // are fetched eagerly here (one RPC and one ascending run per worker) and
 // the iterator drains them.
@@ -512,14 +511,26 @@ func (sc *ShardedCollection) PostingsRange(v uint32, from, upto int) Postings {
 		}
 		return Postings{pre: pre, v: v, from: from, upto: upto}
 	}
-	return Postings{more: sc.segs, sp: sc.spill, v: v, from: from, upto: upto}
+	return Postings{blocks: sc.segs[0].blocks, more: sc.segs[1:], sp: sc.spill, v: v, from: from, upto: upto}
 }
 
 // CoverageRange counts how many RR sets with ids in [from, to) contain at
-// least one marked node — the arena-scan oracle, identical to the flat
-// store's count.
+// least one marked node (Cov_R(S) over the range, Eq. (1) restricted to a
+// window — D-SSA's Cov over R^c_t). This is the naive arena scan, O(items
+// in the window) regardless of the seed set; hot paths use the
+// index-driven CoverageRangeSeeds, and CoverageRange stays as the
+// straightforward oracle the equivalence tests check it against.
 func (sc *ShardedCollection) CoverageRange(seedMark []bool, from, to int) int64 {
-	return coverageRange(sc, seedMark, from, to)
+	var cov int64
+	sc.ForEachSet(from, to, func(_ int, set []uint32) {
+		for _, v := range set {
+			if seedMark[v] {
+				cov++
+				break
+			}
+		}
+	})
+	return cov
 }
 
 // Coverage counts Cov_R(S) over the whole stream for a seed mark vector.
@@ -529,8 +540,9 @@ func (sc *ShardedCollection) Coverage(seedMark []bool) int64 {
 
 // CoverageRangeSeeds counts the sets in [from, to) containing at least one
 // seed via per-shard postings walks merged through the shared epoch-stamped
-// mark set. Same scratch-reuse discipline as the flat store: calls must not
-// race each other or Generate. Remote shards count worker-side — each walks
+// mark set; duplicate seeds are tolerated (the union dedupes them). The
+// walk reuses store-owned scratch, so calls must not race each other or
+// growth (concurrent Postings/Set reads remain safe). Remote shards count worker-side — each walks
 // its own CSR blocks and dedupes with its own marks — and since shards own
 // disjoint global id ranges, the union count is the sum of shard counts and
 // no arena or postings data crosses the wire.

@@ -12,10 +12,10 @@ import (
 )
 
 // assertStoresEqual checks the observable Store surface of got against the
-// flat reference: lengths, aggregates, every Set, per-node postings (as id
-// sets — the sharded store may order runs differently), and both coverage
+// one-shard reference: lengths, aggregates, every Set, per-node postings (as
+// id sets — several shards may order runs differently), and both coverage
 // paths over a few windows.
-func assertStoresEqual(t *testing.T, ctx string, ref *Collection, got Store) {
+func assertStoresEqual(t *testing.T, ctx string, ref *ShardedCollection, got Store) {
 	t.Helper()
 	if got.Len() != ref.Len() || got.Items() != ref.Items() || got.Width() != ref.Width() {
 		t.Fatalf("%s: aggregates differ: len %d/%d items %d/%d width %d/%d", ctx,
@@ -28,7 +28,7 @@ func assertStoresEqual(t *testing.T, ctx string, ref *Collection, got Store) {
 	}
 	n := ref.NumNodes()
 	for v := uint32(0); int(v) < n; v++ {
-		want := ref.Index(v)
+		want := indexUpto(ref, v, ref.Len())
 		have := gatherPostings(got, v, 0, got.Len())
 		if !slices.Equal(want, have) {
 			t.Fatalf("%s: node %d postings differ: %v vs %v", ctx, v, have, want)
@@ -81,11 +81,11 @@ func gatherPostings(st Store, v uint32, from, upto int) []int32 {
 	return out
 }
 
-// TestShardedBitIdenticalToFlat pins the tentpole contract at the store
-// level: for any shard count and any per-shard worker count, the sharded
-// store holds exactly the flat store's sample stream — same sets, same
-// postings, same coverage counts — for uniform RIS and WRIS samplers and
-// both one-shot and doubling schedules.
+// TestShardedBitIdenticalToFlat pins the topology contract at the store
+// level: for any shard count and any per-shard worker count, a multi-shard
+// store holds exactly the default one-shard store's sample stream — same
+// sets, same postings, same coverage counts — for uniform RIS and WRIS
+// samplers and both one-shot and doubling schedules.
 func TestShardedBitIdenticalToFlat(t *testing.T) {
 	g, err := gen.ChungLu(180, 1100, 2.1, 47, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -105,11 +105,11 @@ func TestShardedBitIdenticalToFlat(t *testing.T) {
 	}
 	for sname, s := range samplers {
 		for schedName, schedule := range schedules {
-			ref := NewCollection(s, 909, 1)
+			ref := newOneShard(s, 909, 1)
 			for _, target := range schedule {
 				ref.GenerateTo(target)
 			}
-			for _, shards := range []int{1, 2, 3, 7} {
+			for _, shards := range []int{2, 3, 7} {
 				for _, workers := range []int{1, 4} {
 					ctx := fmt.Sprintf("%s/%s/shards=%d/workers=%d", sname, schedName, shards, workers)
 					sc := NewShardedCollection(s, 909, shards, workers)
@@ -127,7 +127,7 @@ func TestShardedBitIdenticalToFlat(t *testing.T) {
 // +1, +3, and prefix-doubling, in seeded-random order — to pin
 // shard-boundary off-by-ones in the epoch split tables, reusing the WRIS
 // irregular schedules of equivalence_test.go as fixed prefixes. Every
-// intermediate state is compared against a flat collection grown in
+// intermediate state is compared against a one-shard store grown in
 // lockstep.
 func TestShardedGenerateToRandomizedSchedules(t *testing.T) {
 	g, err := gen.ChungLu(150, 900, 2.1, 83, graph.BuildOptions{Model: graph.WeightedCascade})
@@ -146,7 +146,7 @@ func TestShardedGenerateToRandomizedSchedules(t *testing.T) {
 	}
 	for _, shards := range []int{2, 3, 7} {
 		for fi, prefix := range fixed {
-			ref := NewCollection(s, 4242, 2)
+			ref := newOneShard(s, 4242, 2)
 			sc := NewShardedCollection(s, 4242, shards, 2)
 			grow := func(target int) {
 				ref.GenerateTo(target)

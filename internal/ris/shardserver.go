@@ -55,7 +55,6 @@ type ShardServer struct {
 	max      int
 	spill    *spillState // shared across all resident shards; nil ⇒ disabled
 	stateDir string      // "" ⇒ no shard-state durability
-	snap     *snapFile   // recovered-from snapshot; keeps its mapping alive
 
 	mu        sync.Mutex
 	shards    map[string]*workerShard

@@ -16,7 +16,7 @@ import (
 	"unsafe"
 )
 
-// This file is the durable half of the RR-set stores: a versioned on-disk
+// This file is the durable half of the RR-set store: a versioned on-disk
 // snapshot format plus the atomic manifest protocol that commits it.
 //
 // A snapshot is a sequence of 64-byte-aligned blocks, mirroring the spill
@@ -156,9 +156,9 @@ type SnapshotInfo struct {
 }
 
 // PersistentStore is the optional Store extension of stores that can write
-// crash-safe snapshots of their RR state. Both built-in stores implement it.
+// crash-safe snapshots of their RR state. ShardedCollection implements it.
 // Persist reads the store, so callers must hold the same exclusivity as
-// Generate (no concurrent mutation; concurrent reads are fine).
+// growth (no concurrent mutation; concurrent reads are fine).
 type PersistentStore interface {
 	Store
 	// Persist writes a snapshot of the store into dir and atomically commits
@@ -168,11 +168,6 @@ type PersistentStore interface {
 	// PersistFS is Persist through an injected filesystem (fault tests).
 	PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error)
 }
-
-var (
-	_ PersistentStore = (*Collection)(nil)
-	_ PersistentStore = (*ShardedCollection)(nil)
-)
 
 // snapManifest is the committed pointer to the current snapshot. It is the
 // single atomic commit point of the protocol: written to manifest.json.tmp,
@@ -278,7 +273,7 @@ type storeMeta struct {
 	scale    float64
 	n        int
 	length   int
-	shards   int // 0 = flat Collection
+	shards   int // 0 = legacy flat store: one segment, no gids, no epochs
 	remote   bool
 	keys     []string // remote only: per-shard worker keys
 	nonces   []uint64 // remote only: per-shard open nonces
@@ -374,8 +369,8 @@ func encodeSegMeta(w *wbuf, sg *segment) {
 }
 
 // writeSegBlocks appends one segment's data blocks in the order its
-// descriptor declares: offsets, gids (sharded segments), arena extents, CSR
-// index blocks.
+// descriptor declares: offsets, gids (segments that keep a table), arena
+// extents, CSR index blocks.
 func writeSegBlocks(sw *snapWriter, sg *segment) {
 	ns := sg.nsets()
 	sw.block(snapKindOffsets, i64SnapBytes(sg.offsets[:ns+1]))
@@ -429,19 +424,7 @@ func encodeStoreMeta(m storeMeta, segs []*segment) []byte {
 	return w.b
 }
 
-// Persist writes a snapshot of the flat store into dir and commits it.
-func (c *Collection) Persist(dir string) (SnapshotInfo, error) {
-	return c.PersistFS(dir, OSSnapshotFS)
-}
-
-// PersistFS is Persist through an injected filesystem (fault tests).
-func (c *Collection) PersistFS(dir string, fs SnapshotFS) (SnapshotInfo, error) {
-	m := storeMetaOf(c.sampler, c.seed)
-	m.length = c.Len()
-	return persistStore(dir, fs, m, []*segment{&c.segment})
-}
-
-// Persist writes a snapshot of the sharded store into dir and commits it.
+// Persist writes a snapshot of the store into dir and commits it.
 // For a remote-sharded store the mirrors and the per-shard keys and nonces
 // are persisted: a recovered coordinator re-opens each worker shard under
 // its old identity, so a worker that kept (or itself recovered) that state

@@ -3,10 +3,13 @@ package ris
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
@@ -120,7 +123,7 @@ func snapTestSampler(t *testing.T) *Sampler {
 
 func growPattern(st Store) {
 	for _, c := range []int{1, 3, 40, 2, 90, 17} {
-		st.Generate(c)
+		grow(st, c)
 	}
 }
 
@@ -179,8 +182,8 @@ func flipFileByte(t *testing.T, path string, off int64) {
 // persist/recover generation.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := snapTestSampler(t)
-	for _, shards := range []int{0, 1, 3} {
-		ctx := map[int]string{0: "flat", 1: "one-shard", 3: "sharded"}[shards]
+	for _, shards := range []int{0, 3} {
+		ctx := map[int]string{0: "one-shard", 3: "sharded"}[shards]
 		dir := t.TempDir()
 		opt := snapOpt(shards)
 
@@ -207,8 +210,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		storeObservables(t, ctx+"/recovered", ref, rec)
 
 		// Growth on top of recovered state stays bit-identical.
-		ref.Generate(60)
-		rec.Generate(60)
+		grow(ref, 60)
+		grow(rec, 60)
 		storeObservables(t, ctx+"/regrown", ref, rec)
 
 		// Second generation: persist the recovered store, recover again.
@@ -272,8 +275,8 @@ func TestSnapshotSpilledRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Generate(80)
-	recSp.Generate(80)
+	grow(ref, 80)
+	grow(recSp, 80)
 	storeObservables(t, "spilled-recover-spill", ref, recSp)
 }
 
@@ -294,8 +297,8 @@ func TestSnapshotEmptyStore(t *testing.T) {
 		t.Fatalf("recovered %d sets from empty snapshot", rec.Len())
 	}
 	ref := NewStore(s, 9, snapOpt(0))
-	ref.Generate(50)
-	rec.Generate(50)
+	ref.GenerateTo(50)
+	grow(rec, 50)
 	storeObservables(t, "empty", ref, rec)
 }
 
@@ -309,7 +312,7 @@ func TestSnapshotMismatch(t *testing.T) {
 
 	dir := t.TempDir()
 	st := NewStore(s, 42, snapOpt(0))
-	st.Generate(40)
+	st.GenerateTo(40)
 	if _, err := st.(PersistentStore).Persist(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +347,7 @@ func TestSnapshotMismatch(t *testing.T) {
 func TestSnapshotCorruptBlock(t *testing.T) {
 	s := snapTestSampler(t)
 	for _, shards := range []int{0, 3} {
-		ctx := map[int]string{0: "flat", 3: "sharded"}[shards]
+		ctx := map[int]string{0: "one-shard", 3: "sharded"}[shards]
 		opt := snapOpt(shards)
 		ref := NewStore(s, 11, opt)
 		growPattern(ref)
@@ -390,7 +393,7 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 		storeObservables(t, ctx+"/corrupt-arena", ref, rec)
 
 		// Index corruption: rebuilt from the arena, nothing discarded.
-		if shards == 0 { // remote-less sharded stores also keep indexes, but one leg suffices
+		if shards == 0 { // multi-shard stores also keep indexes, but one leg suffices
 			dir, path = persist()
 			var idx []snapBlockPos
 			for _, b := range snapBlockTable(t, path) {
@@ -432,6 +435,152 @@ func TestSnapshotCorruptBlock(t *testing.T) {
 	}
 }
 
+// TestSnapshotLegacyFlat recovers the two snapshot shapes a one-shard store
+// could have on disk before the flat store became the one-shard store: the
+// flat format (meta shards = 0, no gid block, no epoch table) and a
+// one-shard store that kept an identity gid table. Both recover
+// bit-identically into the one-shard store, at Shards 0 and 1, keeping no
+// gid table and one epoch [0, length); a corrupt arena block in the flat
+// format still discards only the stream suffix.
+func TestSnapshotLegacyFlat(t *testing.T) {
+	s := snapTestSampler(t)
+	ref := NewStore(s, 42, snapOpt(0))
+	growPattern(ref)
+
+	// persistFlat writes the flat format through the package's own encoder.
+	// Spilling everything first gives the segment several arena blocks, so
+	// a corrupt one leaves a nonempty good prefix.
+	persistFlat := func() (string, string) {
+		t.Helper()
+		st := spilledStore(t, s, 42, 0, 1).(*ShardedCollection)
+		growPattern(st)
+		m := storeMetaOf(s, 42)
+		m.length = st.Len()
+		dir := t.TempDir()
+		info, err := persistStore(dir, OSSnapshotFS, m, st.segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, info.Path
+	}
+	checkOneShard := func(ctx string, rec Store, epochs int) {
+		t.Helper()
+		sc := rec.(*ShardedCollection)
+		if sc.Shards() != 1 || sc.segs[0].gids != nil || len(sc.epochs) != epochs {
+			t.Fatalf("%s: %d shards, gids %v, %d epochs; want 1 shard, no gids, %d epochs",
+				ctx, sc.Shards(), sc.segs[0].gids != nil, len(sc.epochs), epochs)
+		}
+		storeObservables(t, ctx, ref, rec)
+	}
+
+	dir, path := persistFlat()
+	for _, shards := range []int{0, 1} {
+		ctx := fmt.Sprintf("flat-format/shards=%d", shards)
+		rec, rinfo, err := Recover(s, 42, snapOpt(shards), dir)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if rinfo.Discarded != 0 || rinfo.Sets != ref.Len() {
+			t.Fatalf("%s: recovery info %+v, want clean %d sets", ctx, rinfo, ref.Len())
+		}
+		if e := rec.(*ShardedCollection).epochs[0]; e.from != 0 || e.to != ref.Len() {
+			t.Fatalf("%s: epoch [%d,%d), want [0,%d)", ctx, e.from, e.to, ref.Len())
+		}
+		checkOneShard(ctx, rec, 1)
+		// Growth on top appends epochs to the one-shard store as usual.
+		twin := NewStore(s, 42, snapOpt(0))
+		growPattern(twin)
+		grow(twin, 70)
+		grow(rec, 70)
+		storeObservables(t, ctx+"/regrown", twin, rec)
+	}
+	var mm *SnapshotMismatchError
+	if _, _, err := Recover(s, 42, snapOpt(3), dir); !errors.As(err, &mm) {
+		t.Fatalf("flat format into 3 shards: %v, want SnapshotMismatchError", err)
+	}
+
+	// Identity gid table: written by a one-shard store that kept one.
+	id := NewStore(s, 42, snapOpt(1)).(*ShardedCollection)
+	growPattern(id)
+	sg := id.segs[0]
+	sg.gids = make([]int32, sg.nsets())
+	for i := range sg.gids {
+		sg.gids[i] = int32(i)
+	}
+	gidDir := t.TempDir()
+	if _, err := id.Persist(gidDir); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(s, 42, snapOpt(0), gidDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOneShard("identity-gids", rec, len(id.epochs))
+
+	// Corrupt arena block in the flat format: suffix discard + resample.
+	arenas := 0
+	var last snapBlockPos
+	for _, b := range snapBlockTable(t, path) {
+		if b.kind == snapKindGids {
+			t.Fatal("flat format wrote a gid block")
+		}
+		if b.kind == snapKindArena && b.plen > 0 {
+			arenas++
+			last = b
+		}
+	}
+	if arenas < 2 {
+		t.Fatalf("%d arena blocks, need >= 2", arenas)
+	}
+	flipFileByte(t, path, last.off+snapHdrSize+last.plen/2)
+	rec, rinfo, err := Recover(s, 42, snapOpt(0), dir)
+	if err != nil {
+		t.Fatalf("recover with corrupt arena: %v", err)
+	}
+	if rinfo.Discarded == 0 || rinfo.Discarded >= ref.Len() || rinfo.Resampled != rinfo.Discarded {
+		t.Fatalf("recovery info %+v, want partial discard+resample of %d sets", rinfo, ref.Len())
+	}
+	// The kept prefix is one truncated epoch; the resample appends another.
+	checkOneShard("flat-format/corrupt-arena", rec, 2)
+}
+
+// TestRecoveredMappingOutlivesStore pins the snapshot mapping's lifetime to
+// the units aliasing it, not to the store: a postings iterator taken from a
+// recovered store must stay readable after the store itself is unreachable
+// and collected (Persist and the read paths hand segments on without the
+// store, so a store-owned mapping could be unmapped under them).
+func TestRecoveredMappingOutlivesStore(t *testing.T) {
+	s := snapTestSampler(t)
+	ref := NewStore(s, 42, snapOpt(0))
+	growPattern(ref)
+	dir := t.TempDir()
+	if _, err := ref.(PersistentStore).Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(s, 42, snapOpt(0), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v = 3
+	it := rec.PostingsRange(v, 0, rec.Len())
+	rec = nil
+	for i := 0; i < 4; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // let queued finalizers run
+	}
+	var got []int32
+	for {
+		run, ok := it.Next()
+		if !ok {
+			break
+		}
+		got = append(got, run...)
+	}
+	if want := indexUpto(ref, v, ref.Len()); !slices.Equal(got, want) {
+		t.Fatalf("postings after the store was collected: %v, want %v", got, want)
+	}
+}
+
 // TestSnapshotCrashFaults enumerates every fault point of the snapshot
 // protocol — each individual write failed or torn, the rename dropped, every
 // fsync dropped before a crash — and requires recovery to land on exactly
@@ -444,7 +593,7 @@ func TestSnapshotCrashFaults(t *testing.T) {
 		st := NewStore(s, 42, opt)
 		growPattern(st)
 		if extra > 0 {
-			st.Generate(extra)
+			grow(st, extra)
 		}
 		return st
 	}
@@ -595,7 +744,7 @@ func TestCleanStateDir(t *testing.T) {
 	s := snapTestSampler(t)
 	dir := t.TempDir()
 	st := NewStore(s, 42, snapOpt(0))
-	st.Generate(30)
+	st.GenerateTo(30)
 	if _, err := st.(PersistentStore).Persist(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 // format), so casting them back in the same process is endian-agnostic.
 //
 // Concurrency: spilling happens only under the store's mutation exclusivity
-// (the same discipline as Generate — the session layer holds its write lock
+// (the same discipline as growth — the session layer holds its write lock
 // across both), and a mapping, once created, is never released until the
 // whole SpillFile closes. Concurrent readers therefore never observe a unit
 // mid-move and can never fault on an unmapped page. LRU recency stamps are
@@ -258,7 +258,7 @@ func (sp *spillState) file() (*SpillFile, error) {
 // to budget. When every frozen unit is already spilled it seals the active
 // arena tails into new extents and continues; the irreducible floor is the
 // offset/gid tables and per-unit metadata, which always stay resident.
-// Must run under the store's mutation exclusivity (the Generate discipline).
+// Must run under the store's mutation exclusivity (the growth discipline).
 // A spill failure is recorded, returned, and stops all future spilling.
 func (sp *spillState) enforce(budget int64, segs []*segment) error {
 	if sp.err != nil {

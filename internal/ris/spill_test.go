@@ -3,6 +3,7 @@ package ris
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -184,7 +185,7 @@ func storeObservables(t *testing.T, ctx string, ref, got Store) {
 // an irregular growth pattern (uneven index blocks), a full mid-life spill,
 // growth on top of spilled state, and a second spill must leave every
 // observable bit-identical to a never-spilled store of the same stream —
-// flat and sharded.
+// one shard and several.
 func TestSpillStoreBitIdentical(t *testing.T) {
 	g, err := gen.ChungLu(300, 2000, 2.1, 5, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -196,29 +197,24 @@ func TestSpillStoreBitIdentical(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		ref := NewStore(s, 42, StoreOptions{Workers: 2, Shards: shards, ShardWorkers: 2})
 		for _, c := range pattern {
-			ref.Generate(c)
+			grow(ref, c)
 		}
-		ref.Generate(300)
+		grow(ref, 300)
 
 		for _, budget := range []int64{1, ref.Bytes() / 2} {
 			st := spilledStore(t, s, 42, shards, budget)
 			for _, c := range pattern {
-				st.Generate(c)
+				grow(st, c)
 			}
 			ss := st.(SpilledStore)
 			if err := ss.SpillTo(0); err != nil {
 				t.Fatal(err)
 			}
-			st.Generate(300) // growth over spilled state
+			grow(st, 300) // growth over spilled state
 			if err := ss.SpillTo(0); err != nil {
 				t.Fatal(err)
 			}
-			ctx := ""
-			if shards == 0 {
-				ctx = "flat"
-			} else {
-				ctx = "sharded"
-			}
+			ctx := fmt.Sprintf("shards=%d", shards)
 			stats := ss.SpillStats()
 			if !stats.Enabled || stats.Blocks == 0 || stats.FileBytes == 0 {
 				t.Fatalf("%s/budget=%d: spilling never happened: %+v", ctx, budget, stats)
@@ -238,11 +234,11 @@ func TestSpillEdgeCases(t *testing.T) {
 	// n = 1: sets are all {0}.
 	g1 := mustGraph(t, 1, nil)
 	s1 := mustSampler(t, g1, diffusion.IC)
-	ref := NewCollection(s1, 9, 1)
-	ref.Generate(50)
+	ref := newOneShard(s1, 9, 1)
+	ref.GenerateTo(50)
 	st := spilledStore(t, s1, 9, 0, 1)
-	st.Generate(20)
-	st.Generate(30)
+	st.GenerateTo(20)
+	grow(st, 30)
 	if err := st.(SpilledStore).SpillTo(0); err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +275,17 @@ func TestSpillDiskFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	ref := NewCollection(s, 3, 2)
-	ref.Generate(400)
-	ref.Generate(200)
+	ref := newOneShard(s, 3, 2)
+	ref.GenerateTo(400)
+	grow(ref, 200)
 
-	c := spilledStore(t, s, 3, 0, 1).(*Collection)
+	c := spilledStore(t, s, 3, 0, 1).(*ShardedCollection)
 	diskFull := errors.New("no space left on device")
-	c.segment.spill.testWriteAt = func(p []byte, off int64) (int, error) { return 0, diskFull }
-	c.Generate(400) // growth crosses the 1-byte budget; the spill attempt fails
+	c.spill.testWriteAt = func(p []byte, off int64) (int, error) { return 0, diskFull }
+	c.GenerateTo(400) // growth crosses the 1-byte budget; the spill attempt fails
 
 	var we *SpillWriteError
-	if err := c.segment.spill.err; !errors.As(err, &we) || !errors.Is(err, diskFull) {
+	if err := c.spill.err; !errors.As(err, &we) || !errors.Is(err, diskFull) {
 		t.Fatalf("recorded error %v, want *SpillWriteError wrapping the injected failure", err)
 	}
 	stats := c.SpillStats()
@@ -299,7 +295,7 @@ func TestSpillDiskFull(t *testing.T) {
 	if err := c.SpillTo(0); !errors.Is(err, diskFull) {
 		t.Fatalf("SpillTo after failure = %v, want the sticky error", err)
 	}
-	c.Generate(200) // further growth must not retry or corrupt anything
+	grow(c, 200) // further growth must not retry or corrupt anything
 	storeObservables(t, "disk-full", ref, c)
 }
 
@@ -322,8 +318,8 @@ func TestSpillAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSampler(t, g, diffusion.IC)
-	c := spilledStore(t, s, 17, 0, 1<<40).(*Collection) // huge budget: nothing spills on its own
-	c.Generate(900)
+	c := spilledStore(t, s, 17, 0, 1<<40).(*ShardedCollection) // huge budget: nothing spills on its own
+	c.GenerateTo(900)
 	before := c.Bytes()
 	if err := c.SpillTo(0); err != nil {
 		t.Fatal(err)

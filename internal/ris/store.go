@@ -10,29 +10,29 @@ import (
 // max-coverage solvers and the TVM sweeps actually consume. The paper's
 // optimality arguments (Thms 3–5) are agnostic to where RR sets live — only
 // Len, coverage and the doubling schedule matter — so the algorithms are
-// written against this interface and any implementation that honours the
+// written against this interface and any topology that honours the
 // contract below slots in unchanged.
 //
-// Contract (what makes implementations interchangeable bit-for-bit):
+// Contract (what makes topologies interchangeable bit-for-bit):
 //
 //   - RR set i is always the output of the PRNG stream (Seed, i), so
 //     Set(i), Items, Width and every coverage count are identical across
-//     implementations, worker counts and shard counts.
-//   - The stream is append-only: Generate never moves or mutates an
-//     existing set (D-SSA's prefix-stability requirement).
+//     worker counts, shard counts, remote, spilled and recovered stores.
+//   - The stream is append-only: growth never moves or mutates an existing
+//     set (D-SSA's prefix-stability requirement).
 //   - PostingsRange yields each matching id exactly once, in ascending
-//     runs; cross-run global ordering is implementation-defined (the flat
-//     Collection is globally ascending, ShardedCollection is ascending per
+//     runs; cross-run global ordering depends on the topology (one shard
+//     gives globally ascending runs, several shards are ascending per
 //     shard). Consumers must therefore be order-insensitive across runs —
 //     the greedy solvers and the epoch-stamped coverage walks are.
-//   - Stores are not safe for concurrent mutation; Generate and the
+//   - Stores are not safe for concurrent mutation; growth and the
 //     scratch-reusing coverage walks must not race each other (concurrent
 //     Set/Postings reads remain safe).
 //
 // The differential harness (differential_test.go) enforces the
 // interchangeability: SSA, D-SSA and the TVM budget sweep must return
-// bit-identical Seeds, Coverage and checkpoint traces on every
-// implementation for any shard/worker count.
+// bit-identical Seeds, Coverage and checkpoint traces on every topology
+// for any shard/worker count.
 type Store interface {
 	// Sampler returns the sampler the store draws RR sets from.
 	Sampler() *Sampler
@@ -49,16 +49,20 @@ type Store interface {
 	// Scale returns the estimator scale (n for RIS, Γ for WRIS).
 	Scale() float64
 	// Set returns RR set i; the slice must not be modified and is
-	// invalidated (never mutated in place) by the next Generate.
+	// invalidated (never mutated in place) by the next growth.
 	Set(i int) []uint32
 	// ForEachSet calls fn for every RR set with id in [from, to), in
 	// ascending id order — the bulk-scan primitive solvers use to fold new
 	// stream suffixes into gain counts without per-id lookup cost.
 	ForEachSet(from, to int, fn func(i int, set []uint32))
-	// Generate appends count new RR sets to the stream.
-	Generate(count int)
 	// GenerateTo grows the stream to at least target RR sets.
 	GenerateTo(target int)
+	// GenerateToCtx is GenerateTo with cooperative cancellation, checked
+	// between sampling chunk claims (and between remote RPC attempts). On
+	// cancellation it returns the context's error having mutated NOTHING —
+	// stream, index and width are exactly as before the call, so a later
+	// identical top-up regenerates the same bit-identical sets.
+	GenerateToCtx(ctx context.Context, target int) error
 	// PostingsUpto iterates the ids < upto of RR sets containing v.
 	PostingsUpto(v uint32, upto int) Postings
 	// PostingsRange iterates the ids in [from, upto) of RR sets containing v.
@@ -77,14 +81,14 @@ type Store interface {
 
 // SpilledStore is the optional Store extension of stores that can tier cold
 // RR data (frozen arena extents and CSR index blocks) onto a disk spill
-// file. Both built-in stores implement it; whether spilling is ENABLED is a
+// file. ShardedCollection implements it; whether spilling is ENABLED is a
 // per-store property (StoreOptions.SpillBudgetBytes > 0), reported by
 // SpillStats().Enabled.
 type SpilledStore interface {
 	Store
 	// SpillTo spills globally-coldest units until resident RR bytes drop to
 	// budget (0 spills everything spillable). Counts as a mutation: callers
-	// must hold the same exclusivity as Generate. Returns the first spill
+	// must hold the same exclusivity as growth. Returns the first spill
 	// failure; after one the store stops spilling and stays consistent
 	// resident-only.
 	SpillTo(budget int64) error
@@ -92,42 +96,22 @@ type SpilledStore interface {
 	SpillStats() SpillStats
 }
 
-// ContextStore is the optional Store extension for cancelable growth: both
-// generate forms take a context checked cooperatively between sampling
-// chunk claims (and between remote RPC attempts). On cancellation the call
-// returns the context's error having mutated NOTHING — stream, index and
-// width are exactly as before the call, so a later identical top-up
-// regenerates the same bit-identical sets. Both built-in stores implement
-// it.
-type ContextStore interface {
-	Store
-	// GenerateCtx is Generate with cooperative cancellation.
-	GenerateCtx(ctx context.Context, count int) error
-	// GenerateToCtx is GenerateTo with cooperative cancellation.
-	GenerateToCtx(ctx context.Context, target int) error
-}
-
-// Both stores implement Store, SpilledStore and ContextStore.
+// The store implements the optional spill and snapshot extensions.
 var (
-	_ SpilledStore = (*Collection)(nil)
-	_ SpilledStore = (*ShardedCollection)(nil)
-	_ ContextStore = (*Collection)(nil)
-	_ ContextStore = (*ShardedCollection)(nil)
+	_ SpilledStore    = (*ShardedCollection)(nil)
+	_ PersistentStore = (*ShardedCollection)(nil)
 )
 
 // StoreOptions selects and sizes a Store implementation.
 type StoreOptions struct {
-	// Workers bounds generation/index parallelism of the flat store (and
-	// is the total-worker hint ShardWorkers is derived from); ≤0 selects
-	// runtime.GOMAXPROCS(0).
+	// Workers bounds total generation/index parallelism (the hint
+	// ShardWorkers is derived from); ≤0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Shards ≥ 1 selects ShardedCollection with that many id shards (1 is
-	// a real single-shard sharded store, so the sharded code path can be
-	// exercised and compared at every count); ≤0 selects the flat
-	// Collection. Results are bit-identical either way.
+	// Shards is the number of in-process id shards; ≤ 1 selects one
+	// in-process shard. Results are bit-identical at any count.
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1;
-	// ≤0 derives max(1, Workers/Shards) so the total worker budget holds.
+	// ShardWorkers bounds per-shard generation parallelism; ≤0 derives
+	// max(1, Workers/Shards) so the total worker budget holds.
 	// For remote shards this is the sampling parallelism requested on each
 	// worker (0 = the worker's own default).
 	ShardWorkers int
@@ -154,43 +138,31 @@ type StoreOptions struct {
 	SpillDir string
 }
 
-// NewStore builds the Store described by opt: the flat Collection for
-// Shards ≤ 0, ShardedCollection otherwise, remote-sharded when
-// RemoteWorkers is set. Every implementation yields bit-identical results
-// for a fixed seed, so the choice is purely about memory topology and
-// generation parallelism.
+// NewStore builds the Store described by opt: a ShardedCollection with
+// max(1, Shards) in-process shards, remote-sharded when RemoteWorkers is
+// set. Every topology yields bit-identical results for a fixed seed, so the
+// choice is purely about memory topology and generation parallelism.
 func NewStore(s *Sampler, seed uint64, opt StoreOptions) Store {
-	var st Store
-	switch {
-	case len(opt.RemoteWorkers) > 0:
-		st = NewRemoteShardedCollection(s, seed, opt)
-	case opt.Shards < 1:
-		st = NewCollection(s, seed, opt.Workers)
-	default:
+	var sc *ShardedCollection
+	if len(opt.RemoteWorkers) > 0 {
+		sc = NewRemoteShardedCollection(s, seed, opt)
+	} else {
+		shards := max(opt.Shards, 1)
 		w := opt.ShardWorkers
 		if w <= 0 {
 			total := opt.Workers
 			if total <= 0 {
 				total = runtime.GOMAXPROCS(0)
 			}
-			w = total / opt.Shards
-			if w < 1 {
-				w = 1
-			}
+			w = max(total/shards, 1)
 		}
-		st = NewShardedCollection(s, seed, opt.Shards, w)
+		sc = NewShardedCollection(s, seed, shards, w)
 	}
 	if opt.SpillBudgetBytes > 0 {
-		sp := newSpillState(opt.SpillBudgetBytes, opt.SpillDir)
-		switch c := st.(type) {
-		case *Collection:
-			c.segment.spill = sp
-		case *ShardedCollection:
-			c.spill = sp
-			for _, sg := range c.segs {
-				sg.spill = sp
-			}
+		sc.spill = newSpillState(opt.SpillBudgetBytes, opt.SpillDir)
+		for _, sg := range sc.segs {
+			sg.spill = sc.spill
 		}
 	}
-	return st
+	return sc
 }

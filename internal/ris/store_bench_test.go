@@ -29,8 +29,8 @@ func BenchmarkGenerate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				col := NewCollection(s, uint64(i)+1, 4)
-				col.Generate(20000)
+				col := newOneShard(s, uint64(i)+1, 4)
+				col.GenerateTo(20000)
 			}
 		})
 	}
@@ -49,28 +49,26 @@ func BenchmarkGenerateKernels(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					col := NewCollection(s, uint64(i)+1, 1)
-					col.Generate(20000)
+					col := newOneShard(s, uint64(i)+1, 1)
+					col.GenerateTo(20000)
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkGenerateSharded measures cold generation into the id-sharded
-// store at 1, 2 and 4 shards with the same total worker budget as
-// BenchmarkGenerate (4): shards=1 is the flat-vs-sharded overhead check
-// (one extra goroutine hop plus the gids table — it must not be slower than
-// flat), larger counts show the shard-parallel topology.
+// BenchmarkGenerateSharded measures cold generation into 2 and 4 id shards
+// with the same total worker budget as BenchmarkGenerate (4, one shard):
+// the shard-parallel topology against the default one.
 func BenchmarkGenerateSharded(b *testing.B) {
 	g := benchGraph(b)
 	s := mustSampler(b, g, diffusion.IC)
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{2, 4} {
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				col := NewShardedCollection(s, uint64(i)+1, shards, 4/shards)
-				col.Generate(20000)
+				col.GenerateTo(20000)
 			}
 		})
 	}
@@ -84,7 +82,7 @@ func BenchmarkGenerateDoubling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewCollection(s, uint64(i)+1, 4)
+		col := newOneShard(s, uint64(i)+1, 4)
 		for target := 500; target <= 32000; target *= 2 {
 			col.GenerateTo(target)
 		}
@@ -97,13 +95,13 @@ func BenchmarkGenerateDoubling(b *testing.B) {
 func benchmarkIndexBuild(b *testing.B, workers int) {
 	g := benchGraph(b)
 	s := mustSampler(b, g, diffusion.IC)
-	col := NewCollection(s, 11, workers)
-	col.Generate(40000)
+	col := newOneShard(s, 11, workers)
+	col.GenerateTo(40000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col.blocks = col.blocks[:0]
-		col.appendIndexBlock(0, col.Len(), workers)
+		col.segs[0].blocks = col.segs[0].blocks[:0]
+		col.segs[0].appendIndexBlock(0, col.Len(), workers)
 	}
 }
 
@@ -121,17 +119,17 @@ func BenchmarkIndexBuildParallel(b *testing.B) { benchmarkIndexBuild(b, 4) }
 // coverageBench builds the D-SSA verification scenario: a 20k-set stream, a
 // 50-node candidate seed set (the highest-posting nodes, as greedy would
 // pick), and the holdout window [half, len).
-func coverageBench(b *testing.B) (col *Collection, seeds []uint32, mark []bool, half int) {
+func coverageBench(b *testing.B) (col *ShardedCollection, seeds []uint32, mark []bool, half int) {
 	g := benchGraph(b)
 	s := mustSampler(b, g, diffusion.IC)
-	col = NewCollection(s, 17, 0)
-	col.Generate(20000)
+	col = newOneShard(s, 17, 0)
+	col.GenerateTo(20000)
 	nodes := make([]uint32, g.NumNodes())
 	for v := range nodes {
 		nodes[v] = uint32(v)
 	}
 	sort.Slice(nodes, func(i, j int) bool {
-		return len(col.Index(nodes[i])) > len(col.Index(nodes[j]))
+		return len(indexUpto(col, nodes[i], col.Len())) > len(indexUpto(col, nodes[j], col.Len()))
 	})
 	mark = make([]bool, g.NumNodes())
 	for _, v := range nodes[:50] {

@@ -217,6 +217,5 @@ func (s *ShardServer) recoverShards(dir string) (int, error) {
 		sf.close()
 		return 0, nil
 	}
-	s.snap = sf
 	return restored, nil
 }

@@ -109,8 +109,8 @@ func TestWorkerSnapshotRoundTrip(t *testing.T) {
 
 	st := ris.NewStore(s, 42, opt)
 	for _, c := range []int{1, 3, 40, 2, 90, 17} {
-		st.Generate(c)
-		ref.Generate(c)
+		grow(st, c)
+		grow(ref, c)
 	}
 	coordDir := t.TempDir()
 	if _, err := st.(ris.PersistentStore).Persist(coordDir); err != nil {
@@ -138,8 +138,8 @@ func TestWorkerSnapshotRoundTrip(t *testing.T) {
 	remoteObservables(t, "recovered", ref, rec)
 
 	// Growth continues across the recovered coordinator and workers.
-	ref.Generate(60)
-	rec.Generate(60)
+	grow(ref, 60)
+	grow(rec, 60)
 	remoteObservables(t, "regrown", ref, rec)
 
 	// Worker behind the coordinator: w0 restarts from its (now stale)

@@ -28,8 +28,8 @@ type BudgetedOptions struct {
 	// Workers bounds sampling parallelism; ≤0 selects
 	// runtime.GOMAXPROCS(0) (results are worker-count-independent).
 	Workers int
-	// Shards ≥ 1 stores the WRIS samples in an id-sharded store
-	// (bit-identical results for any shard count); ShardWorkers bounds
+	// Shards is the number of id shards of the WRIS store (≤ 1 selects one
+	// in-process shard; bit-identical results for any shard count); ShardWorkers bounds
 	// per-shard parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int

@@ -9,7 +9,6 @@ import (
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
 	"stopandstare/internal/maxcover"
-	"stopandstare/internal/ris"
 )
 
 func sessionInstance(t *testing.T) (*Instance, []float64) {
@@ -49,8 +48,7 @@ func TestBudgetedSessionMatchesColdSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, 2)
-	refCol.Generate(opt.Samples)
+	refCol := refStore(s, opt.Seed, 2, opt.Samples)
 
 	for _, budget := range []float64{12, 4, 40, 12, 4, 25} {
 		got, err := bs.Maximize(budget)
@@ -86,7 +84,7 @@ func TestBudgetedSessionDerivedThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, 2)
+	refCol := refStore(s, opt.Seed, 2, 0)
 	prev := 0
 	for _, budget := range []float64{6, 30, 6} {
 		got, err := bs.Maximize(budget)
@@ -144,8 +142,7 @@ func TestBudgetedSessionConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, 2)
-	refCol.Generate(opt.Samples)
+	refCol := refStore(s, opt.Seed, 2, opt.Samples)
 	for bi, b := range budgets {
 		want := maxcover.GreedyBudgeted(refCol, opt.Samples, costs, b)
 		for rep, got := range results[bi] {

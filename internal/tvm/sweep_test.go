@@ -9,6 +9,14 @@ import (
 	"stopandstare/internal/ris"
 )
 
+// refStore returns a cold default-topology reference store on the sampler's
+// stream, grown to samples RR sets.
+func refStore(s *ris.Sampler, seed uint64, workers, samples int) ris.Store {
+	st := ris.NewStore(s, seed, ris.StoreOptions{Workers: workers})
+	st.GenerateTo(samples)
+	return st
+}
+
 // TestBudgetedSweepMatchesGreedyPerBudget pins the sweep's identity
 // contract: for every budget order (ascending, descending, duplicated,
 // mixed), each sweep entry is bit-identical to maxcover.GreedyBudgeted
@@ -34,8 +42,7 @@ func TestBudgetedSweepMatchesGreedyPerBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCol := ris.NewCollection(s, opt.Seed, opt.Workers)
-	refCol.Generate(opt.Samples)
+	refCol := refStore(s, opt.Seed, opt.Workers, opt.Samples)
 	for si, sweep := range sweeps {
 		results, err := BudgetedSweep(inst, diffusion.LT, sweep, opt)
 		if err != nil {

@@ -27,7 +27,7 @@ var ErrShardUnreachable = ris.ErrShardUnreachable
 //   - one sampler whose compiled ris.Plan comes from the process-wide plan
 //     cache, so every session and one-shot run on the same graph compiles
 //     the plan exactly once;
-//   - one persistent RR-set store (flat or id-sharded) that only ever grows:
+//   - one persistent RR-set store (one shard or several) that only ever grows:
 //     a query's doubling loop tops up past the current stream length and
 //     never resamples a prefix — D-SSA's "no sample is discarded" principle
 //     extended across runs;
@@ -94,10 +94,10 @@ type SessionOptions struct {
 	Seed uint64
 	// Workers bounds sampling parallelism (≤0 ⇒ runtime.GOMAXPROCS(0)).
 	Workers int
-	// Shards ≥ 1 keeps the stream in an id-sharded store; ≤0 selects flat.
-	// Bit-identical either way (see Options.Shards).
+	// Shards is the number of in-process id shards; ≤ 1 selects one
+	// in-process shard. Bit-identical at any count (see Options.Shards).
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1.
+	// ShardWorkers bounds per-shard generation parallelism.
 	// For remote shards it is the sampling parallelism requested on each
 	// worker (0 = the worker process's own default).
 	ShardWorkers int
@@ -510,13 +510,9 @@ func (e sessionEnv) Ensure(target int) bool {
 		// write lock on its way to maximize's recover.
 		defer s.mu.Unlock()
 		grew = s.store.Len() < target // another query may have topped up first
-		if cs, ok := s.store.(ris.ContextStore); ok {
-			if err := cs.GenerateToCtx(e.ctx, target); err != nil {
-				grew = false // canceled top-ups mutate nothing
-				panic(&growthCanceled{err: err})
-			}
-		} else {
-			s.store.GenerateTo(target)
+		if err := s.store.GenerateToCtx(e.ctx, target); err != nil {
+			grew = false // canceled top-ups mutate nothing
+			panic(&growthCanceled{err: err})
 		}
 	}()
 	if grew {

@@ -234,7 +234,7 @@ func TestSessionPlanCompiledOnce(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		sess, err := stopandstare.NewSession(g, stopandstare.IC, stopandstare.SessionOptions{
-			Seed: uint64(i), Workers: 2, Shards: i, // flat and sharded sessions
+			Seed: uint64(i), Workers: 2, Shards: 2 * i, // one-shard and sharded sessions
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -119,13 +119,13 @@ type Options struct {
 	// Workers bounds parallelism (≤0 ⇒ runtime.GOMAXPROCS(0); results are
 	// bit-identical at any worker count).
 	Workers int
-	// Shards ≥ 1 keeps RR sets in an id-sharded store (one arena + index
-	// per shard, generated shard-parallel) instead of the flat store; ≤0
-	// selects flat. Results are bit-identical at any shard count —
+	// Shards is the number of id shards the RR sets are kept in (one arena
+	// + index per shard, generated shard-parallel); ≤ 1 selects one
+	// in-process shard. Results are bit-identical at any shard count —
 	// sharding only changes memory topology and generation parallelism.
 	// Applies to the RIS algorithms (SSA/D-SSA/IMM/TIM/TIM+/Borgs).
 	Shards int
-	// ShardWorkers bounds per-shard generation parallelism when Shards ≥ 1
+	// ShardWorkers bounds per-shard generation parallelism
 	// (≤0 derives max(1, Workers/Shards)).
 	ShardWorkers int
 	// Kernel selects the RR sampling implementation for the RIS algorithms:
