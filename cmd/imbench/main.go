@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"stopandstare/internal/bench"
-	"stopandstare/internal/ris"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel workers")
 		shards   = flag.Int("shards", 0, "RR-store id shards (<=1 selects one in-process shard; results identical)")
 		shardW   = flag.Int("shard-workers", 0, "per-shard workers (0 = workers/shards)")
-		kernel   = flag.String("kernel", "plan", "RR sampling kernel: plan (compiled) or oracle (Bernoulli reference)")
 		graphF   = flag.String("graph", "", "run experiments on this graph file (.ssg or .sasg) instead of generated presets")
 		scaleMul = flag.Float64("scale", 1.0, "multiplier on default dataset scales")
 		mcRuns   = flag.Int("mc", 0, "MC runs for scoring seed sets (0 = default)")
@@ -58,14 +56,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "imbench: need -exp (or -list)")
 		os.Exit(1)
 	}
-	krn, err := ris.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "imbench: %v\n", err)
-		os.Exit(1)
-	}
 	cfg := bench.Config{
 		Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-		Shards: *shards, ShardWorkers: *shardW, Kernel: krn, GraphFile: *graphF,
+		Shards: *shards, ShardWorkers: *shardW, GraphFile: *graphF,
 		ScaleMul: *scaleMul, MCRuns: *mcRuns, Quick: *quick,
 		IncludeCELF: *celf,
 	}

@@ -70,7 +70,7 @@ func TestBuildManagerPreset(t *testing.T) {
 
 	mgr, scfg, err := buildManager(options{
 		preset: "nethept", scale: 0.02, model: "IC", seed: 1, workers: 2,
-		kernel: "plan", tenants: "extra=" + path,
+		tenants: "extra=" + path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +137,10 @@ func TestBuildManagerPreset(t *testing.T) {
 
 func TestBuildManagerErrors(t *testing.T) {
 	for name, o := range map[string]options{
-		"no source":  {model: "IC", kernel: "plan"},
-		"bad model":  {preset: "nethept", scale: 0.02, model: "XX", kernel: "plan"},
-		"bad kernel": {preset: "nethept", scale: 0.02, model: "IC", kernel: "warp"},
-		"bad budget": {preset: "nethept", scale: 0.02, model: "IC", kernel: "plan", budget: "lots"},
-		"bad tenant": {preset: "nethept", scale: 0.02, model: "IC", kernel: "plan", tenants: "x"},
+		"no source":  {model: "IC"},
+		"bad model":  {preset: "nethept", scale: 0.02, model: "XX"},
+		"bad budget": {preset: "nethept", scale: 0.02, model: "IC", budget: "lots"},
+		"bad tenant": {preset: "nethept", scale: 0.02, model: "IC", tenants: "x"},
 	} {
 		if _, _, err := buildManager(o); err == nil {
 			t.Errorf("%s: buildManager accepted %+v", name, o)

@@ -42,7 +42,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel workers")
 		shards   = flag.Int("shards", 0, "RR-store id shards (<=1 selects one in-process shard; results identical)")
 		shardW   = flag.Int("shard-workers", 0, "per-shard workers (0 = workers/shards)")
-		kernel   = flag.String("kernel", "plan", "RR sampling kernel: plan (compiled) or oracle (Bernoulli reference)")
 		eval     = flag.Int("eval", 5000, "MC runs to score the result (0 to skip)")
 	)
 	flag.Parse()
@@ -54,10 +53,6 @@ func main() {
 		fail("load: %v", err)
 	}
 	mdl, err := stopandstare.ParseModel(*model)
-	if err != nil {
-		fail("%v", err)
-	}
-	krn, err := stopandstare.ParseKernel(*kernel)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -95,7 +90,7 @@ func main() {
 		costs := degreeCosts(g, *costExp)
 		results, err := stopandstare.MaximizeBudgetedSweep(g, mdl, weights, sweep, stopandstare.BudgetedOptions{
 			Costs: costs, Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-			Shards: *shards, ShardWorkers: *shardW, Kernel: krn,
+			Shards: *shards, ShardWorkers: *shardW,
 		})
 		if err != nil {
 			fail("budget sweep: %v", err)
@@ -112,7 +107,6 @@ func main() {
 		res, err := stopandstare.MaximizeBudgeted(g, mdl, weights, stopandstare.BudgetedOptions{
 			Budget: *budget, Costs: costs, Epsilon: *eps, Delta: *delta,
 			Seed: *seed, Workers: *workers, Shards: *shards, ShardWorkers: *shardW,
-			Kernel: krn,
 		})
 		if err != nil {
 			fail("budgeted maximize: %v", err)
@@ -129,7 +123,7 @@ func main() {
 	}
 	res, err := stopandstare.MaximizeTargeted(g, mdl, weights, al, stopandstare.Options{
 		K: *k, Epsilon: *eps, Delta: *delta, Seed: *seed, Workers: *workers,
-		Shards: *shards, ShardWorkers: *shardW, Kernel: krn,
+		Shards: *shards, ShardWorkers: *shardW,
 	})
 	if err != nil {
 		fail("maximize: %v", err)

@@ -39,10 +39,6 @@ type Config struct {
 	// parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int
-	// Kernel selects the RR sampling implementation (plan kernels by
-	// default, ris.KernelOracle for the Bernoulli oracle) so the harness
-	// can compare kernels on identical workloads.
-	Kernel ris.Kernel
 	// ScaleMul multiplies each preset's default scale (1.0 = harness
 	// defaults from gen.DefaultScales; raise toward the paper's full sizes
 	// on bigger machines).
@@ -223,8 +219,7 @@ func RunIM(d *Dataset, model diffusion.Model, algo AlgoID, k int, cfg Config) (*
 	switch algo {
 	case AlgoDSSA, AlgoSSA:
 		opt := core.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers,
-			Kernel: cfg.Kernel}
+			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers}
 		var res *core.Result
 		if algo == AlgoDSSA {
 			res, err = core.DSSA(s, opt)
@@ -238,8 +233,7 @@ func RunIM(d *Dataset, model diffusion.Model, algo AlgoID, k int, cfg Config) (*
 		m.Samples, m.Memory = res.TotalSamples, res.MemoryBytes
 	case AlgoIMM, AlgoTIM, AlgoTIMPlus:
 		opt := baselines.Options{K: k, Epsilon: cfg.Epsilon, Delta: cfg.Delta, Seed: cfg.Seed,
-			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers,
-			Kernel: cfg.Kernel}
+			Workers: cfg.Workers, Shards: cfg.Shards, ShardWorkers: cfg.ShardWorkers}
 		var res *baselines.Result
 		switch algo {
 		case AlgoIMM:

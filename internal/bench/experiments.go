@@ -292,7 +292,6 @@ func runAblationEps(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s = s.WithKernel(cfg.Kernel)
 	k := 50
 	if cfg.Quick {
 		k = 20
@@ -340,7 +339,6 @@ func runAblationTheta(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s = s.WithKernel(cfg.Kernel)
 	n := d.Graph.NumNodes()
 	k := 50
 	if cfg.Quick {
@@ -399,7 +397,6 @@ func runAblationCertify(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s = s.WithKernel(cfg.Kernel)
 	t := &Table{
 		Title:   "Ablation: scoring a seed set — DKLR certificate vs forward MC (nethept, LT)",
 		Headers: []string{"k", "certificate", "cert-time", "cert-rr-sets", "mc", "mc-time", "mc-runs"},

@@ -57,14 +57,12 @@ func record(name string, r testing.BenchmarkResult) PerfRecord {
 // Every pair below keeps the old implementation alive as the baseline, so
 // the report shows the delta, not just the new number.
 //
-// The generate/plan vs generate/oracle pairs compare the compiled sampling
-// kernels (PR 4) against the Bernoulli/binary-search oracle, single-worker
-// so the ratio is pure kernel cost. The primary pair runs on a high-degree
-// weighted-cascade preset (epinions-scale node count at orkut-like average
-// in-degree ≈ 40) — the regime the paper's Table 2 networks live in, where
-// geometric skipping collapses d_in draws per node to ~2; the _lowdeg pair
-// shows the same kernels on the sparser base graph, and the _lt pair
-// compares the alias walk against the binary-search walk.
+// The generate/plan records time the compiled sampling kernels alone,
+// single-worker. generate/plan runs on a high-degree weighted-cascade preset
+// (epinions-scale node count at orkut-like average in-degree ≈ 40) — the
+// regime the paper's Table 2 networks live in, where geometric skipping
+// collapses d_in draws per node to ~2; _lowdeg runs the sparser base graph,
+// and _lt the LT alias walk on the high-degree preset.
 func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	g, err := gen.ChungLu(20000, 120000, 2.1, seed+9, graph.BuildOptions{Model: graph.WeightedCascade})
 	if err != nil {
@@ -98,12 +96,8 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 	}
 	col := grown(s, seed+1, ris.StoreOptions{}, streamLen)
 
-	// Seed set + mark vector for the coverage pair.
+	// Seed set for the coverage records.
 	seeds := maxcover.Greedy(col, col.Len(), 50).Seeds
-	mark := make([]bool, g.NumNodes())
-	for _, v := range seeds {
-		mark[v] = true
-	}
 	half := col.Len() / 2
 
 	// Cost model + budget sweep for the budgeted pair.
@@ -162,31 +156,18 @@ func RunPerfSuite(seed uint64) (*PerfReport, error) {
 			}, streamLen)
 		}
 	})
-	// Kernel pairs: plan vs oracle, 1 worker, identical workloads.
-	genKernel := func(name string, smp *ris.Sampler, k ris.Kernel, n int) {
+	// Sampling kernels alone: 1 worker.
+	genKernel := func(name string, smp *ris.Sampler, n int) {
 		add(name, func(b *testing.B) {
 			b.ReportAllocs()
-			sk := smp.WithKernel(k)
 			for i := 0; i < b.N; i++ {
-				grown(sk, uint64(i)+seed+200, ris.StoreOptions{Workers: 1}, n)
+				grown(smp, uint64(i)+seed+200, ris.StoreOptions{Workers: 1}, n)
 			}
 		})
 	}
-	// The acceptance pair: the high-degree WC preset.
-	genKernel("generate/oracle", sHi, ris.KernelOracle, hiStreamLen)
-	genKernel("generate/plan", sHi, ris.KernelPlan, hiStreamLen)
-	// Same kernels on the sparser base graph.
-	genKernel("generate/oracle_lowdeg", s, ris.KernelOracle, streamLen)
-	genKernel("generate/plan_lowdeg", s, ris.KernelPlan, streamLen)
-	// Alias walk vs binary-search walk under LT on the high-degree preset.
-	genKernel("generate/oracle_lt", sHiLT, ris.KernelOracle, hiStreamLen)
-	genKernel("generate/plan_lt", sHiLT, ris.KernelPlan, hiStreamLen)
-	add("coverage_range/scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			col.CoverageRange(mark, half, col.Len())
-		}
-	})
+	genKernel("generate/plan", sHi, hiStreamLen)
+	genKernel("generate/plan_lowdeg", s, streamLen)
+	genKernel("generate/plan_lt", sHiLT, hiStreamLen)
 	add("coverage_range/postings", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

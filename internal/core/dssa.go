@@ -27,16 +27,16 @@ func DSSA(s *ris.Sampler, opt Options) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	return DSSAWith(opt, newSoloExec(opt.newStore(s)))
 }
 
-// DSSAWith runs D-SSA inside the given execution environment. The store's
-// sampler is used as-is (opt.Kernel is not re-applied). Every size the loop
-// consumes — prefix, holdout window, reported sample counts — comes from
-// the deterministic doubling schedule, never from Store.Len(), so a warm
-// store yields bit-identical results.
-func DSSAWith(opt Options, env Exec) (*Result, error) {
+// DSSAWith runs D-SSA inside the given execution environment. Every size
+// the loop consumes — prefix, holdout window, reported sample counts —
+// comes from the deterministic doubling schedule, never from Store.Len(),
+// so a warm store yields bit-identical results. A remote shard failure or
+// an Abort from env ends the run with that error.
+func DSSAWith(opt Options, env Exec) (res *Result, err error) {
+	defer guard(&res, &err)
 	start := time.Now()
 	s := env.Store().Sampler()
 	if err := opt.normalize(s); err != nil {
@@ -56,7 +56,7 @@ func DSSAWith(opt Options, env Exec) (*Result, error) {
 
 	scale := s.Scale()
 
-	res := &Result{}
+	res = &Result{}
 	var mc maxcover.Result
 	halfUnit := ceilPos(lambda)
 	var streamLen int // |R_t ∪ R^c_t| = 2·half, per schedule

@@ -48,13 +48,37 @@ type Exec interface {
 
 // locked runs f between Acquire and Release, releasing on panic as well.
 // The Store interface is error-free, so a remote-sharded store escapes
-// worker failures as *ris.ShardError panics (recovered at the Session
-// surface); without the deferred release such a panic would leak a serving
-// session's read lock and deadlock every later query.
+// worker failures as *ris.ShardError panics (recovered by guard); without
+// the deferred release such a panic would leak a serving session's read
+// lock and deadlock every later query.
 func locked(env Exec, f func()) {
 	env.Acquire()
 	defer env.Release()
 	f()
+}
+
+// Abort ends the run in progress with err. It is for Exec methods, whose
+// signatures carry no error: a canceled Ensure calls it, and SSAWith or
+// DSSAWith then returns err. The method must release its own locks first
+// (a deferred unlock does).
+func Abort(err error) { panic(aborted{err}) }
+
+type aborted struct{ err error }
+
+// guard is deferred by SSAWith and DSSAWith. It turns the two panics that
+// cross the error-free Exec and ris.Store surfaces into the run's error:
+// an Abort, and the *ris.ShardError a remote-sharded store raises when a
+// worker fails. Any other panic is a bug and is raised again.
+func guard(res **Result, err *error) {
+	switch p := recover().(type) {
+	case nil:
+	case aborted:
+		*res, *err = nil, p.err
+	case *ris.ShardError:
+		*res, *err = nil, p
+	default:
+		panic(p)
+	}
 }
 
 // soloExec is the one-shot environment: a private store and one

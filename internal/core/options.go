@@ -41,11 +41,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results are bit-identical at any worker
 	// count, so the default costs nothing in reproducibility.
 	Workers int
-	// Kernel selects the RR sampling implementation: the compiled plan
-	// kernels (default) or the Bernoulli oracle (ris.KernelOracle). The two
-	// draw from the same distribution but consume different PRNG sequences,
-	// so results are deterministic per kernel, not across kernels.
-	Kernel ris.Kernel
 	// Shards is the number of id shards of the RR store
 	// (ris.ShardedCollection), generated shard-parallel; ≤ 1 selects one
 	// in-process shard. Results are bit-identical at any shard count —

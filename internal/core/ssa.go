@@ -28,17 +28,16 @@ func SSA(s *ris.Sampler, opt Options) (*Result, error) {
 	if err := opt.normalize(s); err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	return SSAWith(opt, newSoloExec(opt.newStore(s)))
 }
 
-// SSAWith runs SSA inside the given execution environment. The store's
-// sampler is used as-is (opt.Kernel is not re-applied — the environment's
-// store is already bound to its kernel). Every size the loop consumes comes
-// from the deterministic doubling schedule, never from Store.Len(), so a
-// pre-grown warm store yields results bit-identical to a cold run at the
-// same seed.
-func SSAWith(opt Options, env Exec) (*Result, error) {
+// SSAWith runs SSA inside the given execution environment. Every size the
+// loop consumes comes from the deterministic doubling schedule, never from
+// Store.Len(), so a pre-grown warm store yields results bit-identical to a
+// cold run at the same seed. A remote shard failure or an Abort from env
+// ends the run with that error.
+func SSAWith(opt Options, env Exec) (res *Result, err error) {
+	defer guard(&res, &err)
 	start := time.Now()
 	s := env.Store().Sampler()
 	if err := opt.normalize(s); err != nil {
@@ -63,7 +62,7 @@ func SSAWith(opt Options, env Exec) (*Result, error) {
 	// size tracks the schedule |R| = Λ·2^it. The cold store's Len always
 	// equals it; a warm store may hold more, which the loop never observes.
 	size := ceilPos(lambda)
-	res := &Result{Eps1: e1, Eps2: e2, Eps3: e3}
+	res = &Result{Eps1: e1, Eps2: e2, Eps3: e3}
 	res.Grew = env.Ensure(size) // line 4
 	est := newEstimator(s, opt.Seed)
 	scale := s.Scale()

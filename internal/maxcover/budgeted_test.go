@@ -22,7 +22,7 @@ func TestGreedyBudgetedRespectsBudget(t *testing.T) {
 		if total != res.Cost {
 			t.Fatalf("reported cost %v, actual %v", res.Cost, total)
 		}
-		if recount := CoverageOf(col, res.Seeds, col.Len()); recount != res.Coverage {
+		if recount := coverageOf(col, res.Seeds, col.Len()); recount != res.Coverage {
 			t.Fatalf("coverage %d recount %d", res.Coverage, recount)
 		}
 	}
@@ -51,7 +51,7 @@ func TestGreedyBudgetedKMNFixup(t *testing.T) {
 	best := uint32(0)
 	var bestCov int64
 	for v := uint32(0); v < 30; v++ {
-		if c := CoverageOf(col, []uint32{v}, col.Len()); c > bestCov {
+		if c := coverageOf(col, []uint32{v}, col.Len()); c > bestCov {
 			bestCov, best = c, v
 		}
 	}

@@ -90,7 +90,7 @@ func FuzzSolverAgainstGreedyOracle(f *testing.F) {
 			got := sol.Solve(upto, k)
 			want := Greedy(col, upto, k)
 			assertSameResult(t, "fuzz incremental vs fresh", got, want)
-			if rec := CoverageOf(col, got.Seeds, upto); rec != got.Coverage {
+			if rec := coverageOf(col, got.Seeds, upto); rec != got.Coverage {
 				t.Fatalf("coverage recount %d != reported %d (upto=%d seeds=%v)",
 					rec, got.Coverage, upto, got.Seeds)
 			}
@@ -158,7 +158,7 @@ func FuzzBudgetedSolverAgainstRatioOracle(f *testing.F) {
 					t.Fatalf("incremental vs fresh seed %d: %d vs %d", i, got.Seeds[i], want.Seeds[i])
 				}
 			}
-			if rec := CoverageOf(col, got.Seeds, upto); rec != got.Coverage {
+			if rec := coverageOf(col, got.Seeds, upto); rec != got.Coverage {
 				t.Fatalf("coverage recount %d != reported %d", rec, got.Coverage)
 			}
 			// KMN floor: no single affordable node may beat the solution.

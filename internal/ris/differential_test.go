@@ -69,13 +69,13 @@ func assertResultsIdentical(t *testing.T, ctx string, ref, got *core.Result, ref
 }
 
 // runCore executes SSA or D-SSA with a trace recorder and the given store
-// topology and sampling kernel, on a fixed (seed, k, epsilon) workload.
-func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+// topology, on a fixed (seed, k, epsilon) workload.
+func runCore(t *testing.T, s *ris.Sampler, algo string, shards, workers int) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	var trace []core.Checkpoint
 	opt := core.Options{
 		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		Shards: shards, ShardWorkers: workers, Kernel: kernel,
+		Shards: shards, ShardWorkers: workers,
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
 	var res *core.Result
@@ -105,28 +105,22 @@ func TestDifferentialDSSAFlatVsSharded(t *testing.T) {
 	differentialCore(t, "dssa")
 }
 
-// differentialCore runs the grid under BOTH sampling kernels: the compiled
-// plan kernels (the default) and the Bernoulli oracle. The one-shard vs
-// multi-shard bit-identity must hold per kernel — kernels consume different
-// PRNG sequences, so cross-kernel traces legitimately differ, but within a
-// kernel no store topology may leak into results.
+// differentialCore runs the grid: no store topology may leak into results.
 func differentialCore(t *testing.T, algo string) {
 	g := diffGraph(t)
 	s, err := ris.NewSampler(g, diffusion.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		refRes, refTrace := runCore(t, s, algo, 0, 0, kernel) // one shard, default workers
-		// The reference must itself be repeatable.
-		res1, trace1 := runCore(t, s, algo, 0, 0, kernel)
-		assertResultsIdentical(t, fmt.Sprintf("%s/%v/default-repeat", algo, kernel), refRes, res1, refTrace, trace1)
-		for _, shards := range diffShardCounts {
-			for _, workers := range diffWorkerCounts {
-				ctx := fmt.Sprintf("%s/%v/shards=%d/shardWorkers=%d", algo, kernel, shards, workers)
-				res, trace := runCore(t, s, algo, shards, workers, kernel)
-				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-			}
+	refRes, refTrace := runCore(t, s, algo, 0, 0) // one shard, default workers
+	// The reference must itself be repeatable.
+	res1, trace1 := runCore(t, s, algo, 0, 0)
+	assertResultsIdentical(t, algo+"/default-repeat", refRes, res1, refTrace, trace1)
+	for _, shards := range diffShardCounts {
+		for _, workers := range diffWorkerCounts {
+			ctx := fmt.Sprintf("%s/shards=%d/shardWorkers=%d", algo, shards, workers)
+			res, trace := runCore(t, s, algo, shards, workers)
+			assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
 		}
 	}
 }
@@ -150,32 +144,30 @@ func TestDifferentialBudgetedSweepFlatVsSharded(t *testing.T) {
 		costs[v] = float64((v*7)%4) + 1
 	}
 	budgets := []float64{3, 9, 27, 81}
-	run := func(shards, workers int, kernel ris.Kernel) []*tvm.BudgetedResult {
+	run := func(shards, workers int) []*tvm.BudgetedResult {
 		res, err := tvm.BudgetedSweep(inst, diffusion.LT, budgets, tvm.BudgetedOptions{
 			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: 2,
-			Samples: 3000, Shards: shards, ShardWorkers: workers, Kernel: kernel,
+			Samples: 3000, Shards: shards, ShardWorkers: workers,
 		})
 		if err != nil {
 			t.Fatalf("sweep shards=%d workers=%d: %v", shards, workers, err)
 		}
 		return res
 	}
-	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		ref := run(0, 0, kernel)
-		for _, shards := range diffShardCounts {
-			for _, workers := range diffWorkerCounts {
-				got := run(shards, workers, kernel)
-				for i := range ref {
-					ctx := fmt.Sprintf("sweep/%v/shards=%d/workers=%d/budget=%v", kernel, shards, workers, budgets[i])
-					if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
-						t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
-					}
-					if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
-						got[i].Samples != ref[i].Samples {
-						t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
-							got[i].Benefit, got[i].Cost, got[i].Samples,
-							ref[i].Benefit, ref[i].Cost, ref[i].Samples)
-					}
+	ref := run(0, 0)
+	for _, shards := range diffShardCounts {
+		for _, workers := range diffWorkerCounts {
+			got := run(shards, workers)
+			for i := range ref {
+				ctx := fmt.Sprintf("sweep/shards=%d/workers=%d/budget=%v", shards, workers, budgets[i])
+				if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
+					t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
+				}
+				if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
+					got[i].Samples != ref[i].Samples {
+					t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
+						got[i].Benefit, got[i].Cost, got[i].Samples,
+						ref[i].Benefit, ref[i].Cost, ref[i].Samples)
 				}
 			}
 		}

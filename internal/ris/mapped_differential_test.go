@@ -15,7 +15,8 @@ import (
 // The out-of-core differential: a graph opened from its .sasg mapping must
 // be indistinguishable from the heap graph it was written from in every
 // observable — same seeds, same influence, same traces, for every algorithm
-// × store topology × sampling kernel of the grid. The RR-set purity
+// × store topology of the grid (TestOracleHeapVsMapped does the same for the
+// sampling oracle). The RR-set purity
 // invariant (set i is a function of (seed, i)) only survives the mmap
 // refactor if the mapped sections really are bit-identical aliases; this
 // harness is what pins that.
@@ -41,8 +42,7 @@ func mappedTwin(t *testing.T, g *graph.Graph) *graph.Graph {
 }
 
 // TestDifferentialHeapVsMapped runs SSA and D-SSA on the heap reference
-// and on its mapped twin across both kernels, the flat store, and the
-// sharded grid, demanding bit-identical results and traces throughout.
+// and on its mapped twin across the flat store and the sharded grid, demanding bit-identical results and traces throughout.
 func TestDifferentialHeapVsMapped(t *testing.T) {
 	heap := diffGraph(t)
 	mapped := mappedTwin(t, heap)
@@ -55,27 +55,24 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
-		for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-			refRes, refTrace := runCore(t, hs, algo, 0, 0, kernel)
-			res, trace := runCore(t, ms, algo, 0, 0, kernel)
-			assertResultsIdentical(t, fmt.Sprintf("%s/%v/mapped-flat", algo, kernel),
-				refRes, res, refTrace, trace)
-			for _, shards := range diffShardCounts {
-				for _, workers := range diffWorkerCounts {
-					ctx := fmt.Sprintf("%s/%v/mapped-shards=%d/workers=%d", algo, kernel, shards, workers)
-					res, trace := runCore(t, ms, algo, shards, workers, kernel)
-					assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-				}
+		refRes, refTrace := runCore(t, hs, algo, 0, 0)
+		res, trace := runCore(t, ms, algo, 0, 0)
+		assertResultsIdentical(t, algo+"/mapped-flat", refRes, res, refTrace, trace)
+		for _, shards := range diffShardCounts {
+			for _, workers := range diffWorkerCounts {
+				ctx := fmt.Sprintf("%s/mapped-shards=%d/workers=%d", algo, shards, workers)
+				res, trace := runCore(t, ms, algo, shards, workers)
+				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
 			}
 		}
 	}
 }
 
 // TestDifferentialBudgetedSweepHeapVsMapped runs the LT-model TVM budget
-// sweep on heap vs mapped. LT sampling walks the mapped inCum prefix sums
-// (binary search in the oracle kernel) and compiles the alias tables from
-// mapped sections (plan kernel), so this closes the loop on the two
-// sections the IC harness never touches.
+// sweep on heap vs mapped. LT sampling compiles the alias tables from
+// mapped sections, which the IC harness never touches; the mapped inCum
+// prefix sums, which only the oracle's binary-search walk reads, are
+// pinned by TestOracleHeapVsMapped.
 func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 	heap := diffGraph(t)
 	mapped := mappedTwin(t, heap)
@@ -88,34 +85,32 @@ func TestDifferentialBudgetedSweepHeapVsMapped(t *testing.T) {
 		costs[v] = float64((v*7)%4) + 1
 	}
 	budgets := []float64{3, 9, 27, 81}
-	run := func(g *graph.Graph, kernel ris.Kernel) []*tvm.BudgetedResult {
+	run := func(g *graph.Graph) []*tvm.BudgetedResult {
 		inst, err := tvm.NewInstance(g, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := tvm.BudgetedSweep(inst, diffusion.LT, budgets, tvm.BudgetedOptions{
 			Costs: costs, Epsilon: 0.2, Seed: 13, Workers: 2,
-			Samples: 3000, Kernel: kernel,
+			Samples: 3000,
 		})
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
 		return res
 	}
-	for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-		ref := run(heap, kernel)
-		got := run(mapped, kernel)
-		for i := range ref {
-			ctx := fmt.Sprintf("sweep/%v/budget=%v", kernel, budgets[i])
-			if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
-				t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
-			}
-			if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
-				got[i].Samples != ref[i].Samples {
-				t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
-					got[i].Benefit, got[i].Cost, got[i].Samples,
-					ref[i].Benefit, ref[i].Cost, ref[i].Samples)
-			}
+	ref := run(heap)
+	got := run(mapped)
+	for i := range ref {
+		ctx := fmt.Sprintf("sweep/budget=%v", budgets[i])
+		if !slices.Equal(ref[i].Seeds, got[i].Seeds) {
+			t.Fatalf("%s: Seeds %v vs %v", ctx, got[i].Seeds, ref[i].Seeds)
+		}
+		if got[i].Benefit != ref[i].Benefit || got[i].Cost != ref[i].Cost ||
+			got[i].Samples != ref[i].Samples {
+			t.Fatalf("%s: benefit/cost/samples %v/%v/%d vs %v/%v/%d", ctx,
+				got[i].Benefit, got[i].Cost, got[i].Samples,
+				ref[i].Benefit, ref[i].Cost, ref[i].Samples)
 		}
 	}
 }

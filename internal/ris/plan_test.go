@@ -12,8 +12,9 @@ import (
 
 // This file is the statistical-equivalence harness of the compiled sampling
 // plans: the plan kernels consume different PRNG sequences than the
-// Bernoulli oracle, so set-by-set comparison is meaningless — instead the
-// harness proves the two kernels draw from the same DISTRIBUTION:
+// Bernoulli oracle (oracle_test.go), so set-by-set comparison is
+// meaningless — instead the harness proves the two draw from the same
+// DISTRIBUTION:
 //
 //   - per-edge activation frequencies (chi-square against the exact edge
 //     probabilities, for the geometric, threshold and alias kernels);
@@ -23,8 +24,7 @@ import (
 //     (internal/diffusion.Exact) under both kernels.
 //
 // Structural invariants (root membership, reverse-path validity, width
-// definition, worker-count determinism) are covered by ris_test.go, which
-// runs under the plan kernels by default.
+// definition, worker-count determinism) are covered by ris_test.go.
 
 // forcedRootSampler returns a WRIS sampler whose root is always node 0, so
 // per-edge frequencies at node 0 can be measured directly.
@@ -177,9 +177,9 @@ func TestPlanLTStepFrequencies(t *testing.T) {
 	}
 }
 
-// kernelMoments generates N sets under the given kernel and returns the
-// mean and variance of the set sizes plus the mean width.
-func kernelMoments(s *Sampler, seed uint64, N int) (meanSize, varSize, meanWidth float64) {
+// kernelMoments generates N sets through sample and returns the mean and
+// variance of the set sizes plus the mean width.
+func kernelMoments(s *Sampler, sample sampleFunc, seed uint64, N int) (meanSize, varSize, meanWidth float64) {
 	st := s.NewState()
 	var r rng.Source
 	var buf []uint32
@@ -188,7 +188,7 @@ func kernelMoments(s *Sampler, seed uint64, N int) (meanSize, varSize, meanWidth
 		r.SeedStream(seed, uint64(i))
 		var setLen int
 		var w int64
-		buf, setLen, w = s.AppendSample(&r, st, buf[:0])
+		buf, setLen, w = sample(&r, st, buf[:0])
 		sz := float64(setLen)
 		sum += sz
 		sumSq += sz * sz
@@ -211,8 +211,8 @@ func TestPlanVsOracleSizeWidthAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, pv, pw := kernelMoments(s, 1009, N)
-		om, ov, ow := kernelMoments(s.WithKernel(KernelOracle), 2017, N)
+		pm, pv, pw := kernelMoments(s, s.AppendSample, 1009, N)
+		om, ov, ow := kernelMoments(s, s.oracleSample, 2017, N)
 		// Two-sample z-test on the means; the shared variance estimate is
 		// conservative enough at N = 60k per kernel.
 		se := math.Sqrt((pv + ov) / N)
@@ -227,9 +227,10 @@ func TestPlanVsOracleSizeWidthAgreement(t *testing.T) {
 	}
 }
 
-// exactCheck estimates I(S) from N plan- or oracle-kernel RR sets and
-// compares against the exact possible-world influence.
-func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, k Kernel, seeds []uint32) {
+// exactCheck estimates I(S) from N RR sets of the named kernel and
+// compares against the exact possible-world influence. The plan kernel
+// draws through a store, the oracle directly.
+func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, kernel string, seeds []uint32) {
 	t.Helper()
 	exact, err := diffusion.Exact(g, model, seeds)
 	if err != nil {
@@ -239,20 +240,36 @@ func exactCheck(t *testing.T, g *graph.Graph, model diffusion.Model, k Kernel, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	s = s.WithKernel(k)
-	col := newOneShard(s, 97, 2)
-	const N = 400000
-	col.GenerateTo(N)
 	mark := make([]bool, g.NumNodes())
 	for _, v := range seeds {
 		mark[v] = true
 	}
-	cov := col.Coverage(mark)
+	const N = 400000
+	var cov int64
+	if kernel == "plan" {
+		col := newOneShard(s, 97, 2)
+		col.GenerateTo(N)
+		cov = scanCoverage(col, mark, 0, N)
+	} else {
+		st := s.NewState()
+		var r rng.Source
+		var buf []uint32
+		for i := 0; i < N; i++ {
+			r.SeedStream(97, uint64(i))
+			buf, _, _ = s.oracleSample(&r, st, buf[:0])
+			for _, v := range buf {
+				if mark[v] {
+					cov++
+					break
+				}
+			}
+		}
+	}
 	est := s.Scale() * float64(cov) / float64(N)
 	p := float64(cov) / float64(N)
 	se := s.Scale() * math.Sqrt(p*(1-p)/float64(N))
 	if math.Abs(est-exact) > 5*se+0.01 {
-		t.Fatalf("%v/%v: estimate %.4f vs exact %.4f (se %.4f)", model, k, est, exact, se)
+		t.Fatalf("%v/%s: estimate %.4f vs exact %.4f (se %.4f)", model, kernel, est, exact, se)
 	}
 }
 
@@ -265,7 +282,7 @@ func TestPlanInfluenceMatchesExactOracle(t *testing.T) {
 		{U: 0, V: 1, W: 0.5}, {U: 2, V: 1, W: 0.3}, {U: 1, V: 3, W: 0.6},
 		{U: 0, V: 3, W: 0.2}, {U: 3, V: 4, W: 0.8},
 	})
-	for _, k := range []Kernel{KernelPlan, KernelOracle} {
+	for _, k := range []string{"plan", "oracle"} {
 		exactCheck(t, gIC, diffusion.IC, k, []uint32{0})
 		exactCheck(t, gIC, diffusion.IC, k, []uint32{1, 2})
 		exactCheck(t, gLT, diffusion.LT, k, []uint32{0})
@@ -281,13 +298,13 @@ func TestPlanCertainEdges(t *testing.T) {
 		{U: 3, V: 2, W: 1}, {U: 2, V: 1, W: 1}, {U: 1, V: 0, W: 1},
 	})
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, k := range []Kernel{KernelPlan, KernelOracle} {
-			s := forcedRootSampler(t, g, model).WithKernel(k)
+		s := forcedRootSampler(t, g, model)
+		for k, sample := range kernels(s) {
 			st := s.NewState()
 			var r rng.Source
 			for i := 0; i < 2000; i++ {
 				r.SeedStream(7, uint64(i))
-				buf, setLen, _ := s.AppendSample(&r, st, nil)
+				buf, setLen, _ := sample(&r, st, nil)
 				if setLen != 4 {
 					t.Fatalf("%v/%v: certain chain gave set %v", model, k, buf)
 				}
@@ -301,35 +318,17 @@ func TestPlanZeroWeightEdges(t *testing.T) {
 	// with p = 0 exercises the Geometric MaxSkip sentinel).
 	g := mustGraph(t, 3, []graph.Edge{{U: 1, V: 0, W: 0}, {U: 2, V: 0, W: 0}})
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, k := range []Kernel{KernelPlan, KernelOracle} {
-			s := forcedRootSampler(t, g, model).WithKernel(k)
+		s := forcedRootSampler(t, g, model)
+		for k, sample := range kernels(s) {
 			st := s.NewState()
 			var r rng.Source
 			for i := 0; i < 2000; i++ {
 				r.SeedStream(11, uint64(i))
-				_, setLen, _ := s.AppendSample(&r, st, nil)
+				_, setLen, _ := sample(&r, st, nil)
 				if setLen != 1 {
 					t.Fatalf("%v/%v: zero-weight edge fired", model, k)
 				}
 			}
 		}
-	}
-}
-
-func TestWithKernelSharesPlan(t *testing.T) {
-	g := starGraph(t, []float64{0.5})
-	s, err := NewSampler(g, diffusion.IC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := s.WithKernel(KernelOracle)
-	if o == s || o.Kernel() != KernelOracle || s.Kernel() != KernelPlan {
-		t.Fatal("WithKernel must copy, not mutate")
-	}
-	if o.Plan() != s.Plan() {
-		t.Fatal("WithKernel must share the compiled plan")
-	}
-	if s.WithKernel(KernelPlan) != s {
-		t.Fatal("WithKernel with the same kernel should return the receiver")
 	}
 }

@@ -41,7 +41,7 @@ func TestPlanCacheSharedAcrossSamplers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samplers := []*Sampler{s1, s2, s1.WithKernel(KernelOracle), s2.WithKernel(KernelOracle).WithKernel(KernelPlan)}
+	samplers := []*Sampler{s1, s2}
 
 	// Race the first compilation from every sampler at once.
 	var wg sync.WaitGroup

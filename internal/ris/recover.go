@@ -317,8 +317,11 @@ func validateMeta(md *snapMetaD, s *Sampler, seed uint64, opt StoreOptions) erro
 	if md.seed != seed {
 		return mism("seed %d, snapshot %d", seed, md.seed)
 	}
-	if md.model != uint8(s.model) || md.kernel != uint8(s.kernel) {
-		return mism("model/kernel %d/%d, snapshot %d/%d", s.model, s.kernel, md.model, md.kernel)
+	if md.model != uint8(s.model) {
+		return mism("model %d, snapshot %d", s.model, md.model)
+	}
+	if md.kernel != 0 {
+		return mism("snapshot sampled with kernel %d; only the compiled plan (0) exists", md.kernel)
 	}
 	if md.weighted != (s.root != nil) || md.whash != weightsHash(s.weights) {
 		return mism("weight vector differs")
@@ -533,7 +536,7 @@ func rebuildIndexBlock(sg *segment, from, to int) {
 // Recover rebuilds the Store described by (s, seed, opt) from the committed
 // snapshot in dir. On success the returned store serves answers
 // bit-identical to the persisted one: RR set i is a pure function of
-// (kernel, seed, i), so even a corrupt-suffix discard is repaired exactly by
+// (seed, i), so even a corrupt-suffix discard is repaired exactly by
 // deterministic resampling (performed here; for remote stores an unreachable
 // worker defers the top-up to the first query).
 //

@@ -18,7 +18,7 @@ import (
 // shardserver.go). The protocol is deliberately tiny: length-prefixed binary
 // frames over a stream transport (TCP or unix socket), little-endian, one
 // request in flight per connection. Determinism does the heavy lifting —
-// RR set i is a pure function of (kernel, seed, i) — so the coordinator and
+// RR set i is a pure function of (seed, i) — so the coordinator and
 // worker never negotiate state beyond "how many sets do you hold": any
 // divergence is repaired by deterministic regeneration, not by shipping
 // arenas.
@@ -138,7 +138,8 @@ var ErrShardUnreachable = errors.New("ris: shard worker unreachable")
 // ShardError is the typed failure a remote-sharded store surfaces when a
 // worker RPC cannot be completed. The Store interface is error-free by
 // design (see Store), so remote implementations raise *ShardError as a
-// panic; Session.Maximize recovers it into an ordinary error return.
+// panic; core.SSAWith and core.DSSAWith recover it into an ordinary error
+// return.
 type ShardError struct {
 	Addr string // worker address
 	Op   string // logical operation: "generate", "postings", "coverage", …
@@ -243,13 +244,27 @@ type rbuf struct {
 }
 
 func (r *rbuf) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
+	if r.err != nil || n < 0 || n > len(r.b) {
 		r.err = errMalformed
 		return nil
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
+}
+
+// count reads a u32 element count and checks that that many elements of
+// size bytes fit in the rest of the payload. It divides rather than
+// multiplies, and a u32 above MaxInt32 is negative as a 32-bit int, so a
+// hostile count can neither overflow nor slip past the check on any
+// platform.
+func (r *rbuf) count(size int) int {
+	n := int(r.u32())
+	if r.err != nil || n < 0 || n > len(r.b)/size {
+		r.err = errMalformed
+		return 0
+	}
+	return n
 }
 
 func (r *rbuf) u8() byte {
@@ -275,13 +290,12 @@ func (r *rbuf) u64() uint64 {
 
 func (r *rbuf) i64() int64     { return int64(r.u64()) }
 func (r *rbuf) f64() float64   { return math.Float64frombits(r.u64()) }
-func (r *rbuf) str() string    { return string(r.take(int(r.u32()))) }
+func (r *rbuf) str() string    { return string(r.take(r.count(1))) }
 func (r *rbuf) remaining() int { return len(r.b) }
 
 func (r *rbuf) u32s() []uint32 {
-	n := int(r.u32())
-	if r.err != nil || len(r.b) < 4*n {
-		r.err = errMalformed
+	n := r.count(4)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint32, n)
@@ -292,9 +306,8 @@ func (r *rbuf) u32s() []uint32 {
 }
 
 func (r *rbuf) i32s() []int32 {
-	n := int(r.u32())
-	if r.err != nil || len(r.b) < 4*n {
-		r.err = errMalformed
+	n := r.count(4)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]int32, n)
@@ -305,9 +318,8 @@ func (r *rbuf) i32s() []int32 {
 }
 
 func (r *rbuf) f64s() []float64 {
-	n := int(r.u32())
-	if r.err != nil || len(r.b) < 8*n {
-		r.err = errMalformed
+	n := r.count(8)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
@@ -324,7 +336,7 @@ func (r *rbuf) f64s() []float64 {
 type shardSpec struct {
 	n       uint32 // graph node count, validated against the worker's graph
 	model   uint8
-	kernel  uint8
+	kernel  uint8 // sampling kernel; only 0 (the compiled plan) is accepted
 	seed    uint64
 	workers uint32    // sampling parallelism on the worker; 0 = worker default
 	weights []float64 // WRIS benefit weights; empty = uniform roots

@@ -94,7 +94,7 @@ func (c *remoteCluster) kill(addr string) {
 
 // runCoreRemote is runCore on a remote-sharded store: one shard per
 // in-process pipe worker.
-func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nworkers int, kernel ris.Kernel) (*core.Result, []core.Checkpoint) {
+func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nworkers int) (*core.Result, []core.Checkpoint) {
 	t.Helper()
 	addrs := make([]string, nworkers)
 	for i := range addrs {
@@ -104,7 +104,7 @@ func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nw
 	var trace []core.Checkpoint
 	opt := core.Options{
 		K: 8, Epsilon: 0.3, Seed: 71, Workers: 2,
-		RemoteWorkers: addrs, RemoteDial: cluster.dial, Kernel: kernel,
+		RemoteWorkers: addrs, RemoteDial: cluster.dial,
 		Trace: func(cp core.Checkpoint) { trace = append(trace, cp) },
 	}
 	var res *core.Result
@@ -120,7 +120,7 @@ func runCoreRemote(t *testing.T, g *graph.Graph, s *ris.Sampler, algo string, nw
 	return res, trace
 }
 
-// TestDifferentialRemoteVsFlat runs SSA and D-SSA under both kernels on
+// TestDifferentialRemoteVsFlat runs SSA and D-SSA on
 // flat, in-process-sharded and remote-sharded stores across {1, 2} workers,
 // demanding bit-identical Seeds, Influence, sample counts and per-checkpoint
 // traces. This is the issue's core acceptance: cross-process sharding must
@@ -132,18 +132,16 @@ func TestDifferentialRemoteVsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []string{"ssa", "dssa"} {
-		for _, kernel := range []ris.Kernel{ris.KernelPlan, ris.KernelOracle} {
-			refRes, refTrace := runCore(t, s, algo, 0, 0, kernel) // flat reference
-			for _, nw := range []int{1, 2} {
-				ctx := fmt.Sprintf("%s/%v/remote-workers=%d", algo, kernel, nw)
-				res, trace := runCoreRemote(t, g, s, algo, nw, kernel)
-				assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
-				// The in-process sharded store at the same shard count must
-				// agree too (flat vs sharded is covered elsewhere; this pins
-				// remote against both in one place).
-				sres, strace := runCore(t, s, algo, nw, 1, kernel)
-				assertResultsIdentical(t, ctx+"/vs-inprocess", sres, res, strace, trace)
-			}
+		refRes, refTrace := runCore(t, s, algo, 0, 0) // flat reference
+		for _, nw := range []int{1, 2} {
+			ctx := fmt.Sprintf("%s/remote-workers=%d", algo, nw)
+			res, trace := runCoreRemote(t, g, s, algo, nw)
+			assertResultsIdentical(t, ctx, refRes, res, refTrace, trace)
+			// The in-process sharded store at the same shard count must
+			// agree too (flat vs sharded is covered elsewhere; this pins
+			// remote against both in one place).
+			sres, strace := runCore(t, s, algo, nw, 1)
+			assertResultsIdentical(t, ctx+"/vs-inprocess", sres, res, strace, trace)
 		}
 	}
 }
@@ -220,9 +218,6 @@ func TestRemoteStoreParity(t *testing.T) {
 		}
 		if got, want := st.CoverageRangeSeeds(seeds, 0, upto), flat.CoverageRangeSeeds(seeds, 0, upto); got != want {
 			t.Fatalf("%s: coverage %d vs flat %d", phase, got, want)
-		}
-		if got, want := st.CoverageSeeds(seeds), flat.CoverageSeeds(seeds); got != want {
-			t.Fatalf("%s: full coverage %d vs flat %d", phase, got, want)
 		}
 	}
 

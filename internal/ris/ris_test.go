@@ -39,6 +39,22 @@ func newOneShard(s *Sampler, seed uint64, workers int) *ShardedCollection {
 // grow appends count RR sets to st (a no-op for count ≤ 0).
 func grow(st Store, count int) { st.GenerateTo(st.Len() + count) }
 
+// scanCoverage counts the RR sets in [from, to) holding a marked node by
+// scanning the sets themselves: the arena-scan oracle the index-driven
+// CoverageRangeSeeds is checked against.
+func scanCoverage(st Store, mark []bool, from, to int) int64 {
+	var cov int64
+	st.ForEachSet(from, to, func(_ int, set []uint32) {
+		for _, v := range set {
+			if mark[v] {
+				cov++
+				break
+			}
+		}
+	})
+	return cov
+}
+
 // indexUpto returns the ids < upto of RR sets containing v, concatenated
 // across st's postings runs in iteration order — globally ascending on a
 // one-shard store.
@@ -186,7 +202,7 @@ func lemma1Check(t *testing.T, g *graph.Graph, model diffusion.Model, seeds []ui
 	for _, v := range seeds {
 		mark[v] = true
 	}
-	cov := col.Coverage(mark)
+	cov := scanCoverage(col, mark, 0, N)
 	est := s.Scale() * float64(cov) / float64(N)
 	// Binomial stderr of the coverage estimate.
 	p := float64(cov) / float64(N)
@@ -285,7 +301,7 @@ func TestWRISBenefitIdentity(t *testing.T) {
 	col.GenerateTo(N)
 	mark := make([]bool, 5)
 	mark[0] = true
-	est := s.Scale() * float64(col.Coverage(mark)) / float64(N)
+	est := s.Scale() * float64(scanCoverage(col, mark, 0, N)) / float64(N)
 	mc, se, err := diffusion.Spread(g, diffusion.IC, seeds, diffusion.SpreadOptions{
 		Runs: 300000, Seed: 41, Workers: 2, Weights: w,
 	})
@@ -378,7 +394,7 @@ func TestCoverageRangeAgainstNaive(t *testing.T) {
 	mark := make([]bool, 80)
 	mark[3], mark[17], mark[42] = true, true, true
 	for _, rangeCase := range [][2]int{{0, 1500}, {0, 750}, {750, 1500}, {100, 200}, {-5, 9999}} {
-		got := col.CoverageRange(mark, rangeCase[0], rangeCase[1])
+		got := col.CoverageRangeSeeds([]uint32{3, 17, 42}, rangeCase[0], rangeCase[1])
 		lo, hi := rangeCase[0], rangeCase[1]
 		if lo < 0 {
 			lo = 0

@@ -20,30 +20,24 @@ import (
 // proportionally to each node's benefit b(v) and estimates scale by
 // Γ = Σ_v b(v) instead of n (Lemma 1 and its weighted analogue).
 //
-// Two sampling kernels produce the RR sets (see Kernel): the compiled plan
-// (default) and the Bernoulli/binary-search oracle. Both draw from the same
-// distribution — proven by the statistical harness in plan_test.go — but
-// consume different PRNG sequences, so switching kernels changes individual
-// sets while preserving every determinism invariant: RR set i is a pure
-// function of (kernel, seed, i) for any worker, shard, or store topology.
+// RR sets are drawn through the compiled sampling plan (see Plan); RR set i
+// is a pure function of (seed, i) for any worker, shard, or store topology.
 type Sampler struct {
 	g       *graph.Graph
 	model   diffusion.Model
 	root    *rng.Alias // nil ⇒ uniform root
 	weights []float64  // WRIS benefit weights; retained so remote shards can rebuild the alias table
 	scale   float64    // n for RIS, Γ for WRIS
-	pc      *planCache // lazily compiled, shared across WithKernel copies
-	kernel  Kernel
+	pc      *planCache // lazily compiled, shared per (graph, model)
 }
 
 // ErrNilGraph reports a missing graph.
 var ErrNilGraph = errors.New("ris: nil graph")
 
-// NewSampler returns a uniform-root (classic RIS) sampler using the default
-// plan kernels. Use WithKernel to select the oracle. The compiled plan is
-// served from the process-wide registry (see plancache.go): every sampler on
-// the same (graph, model) — across Sessions, one-shot runs, WRIS and plain
-// variants — shares one compilation.
+// NewSampler returns a uniform-root (classic RIS) sampler. The compiled
+// plan is served from the process-wide registry (see plancache.go): every
+// sampler on the same (graph, model) — across Sessions, one-shot runs, WRIS
+// and plain variants — shares one compilation.
 func NewSampler(g *graph.Graph, model diffusion.Model) (*Sampler, error) {
 	if g == nil {
 		return nil, ErrNilGraph
@@ -69,21 +63,6 @@ func NewWeightedSampler(g *graph.Graph, model diffusion.Model, weights []float64
 		pc: sharedPlanCache(g, model)}, nil
 }
 
-// WithKernel returns a sampler drawing through the given kernel. The
-// receiver is unchanged; the copy shares the graph and the compiled plan,
-// so switching kernels is free and safe even while the original is in use.
-func (s *Sampler) WithKernel(k Kernel) *Sampler {
-	if s.kernel == k {
-		return s
-	}
-	c := *s
-	c.kernel = k
-	return &c
-}
-
-// Kernel returns the sampling kernel in effect.
-func (s *Sampler) Kernel() Kernel { return s.kernel }
-
 // Plan returns the compiled sampling plan, compiling it on first use
 // (shared and immutable afterwards; safe for concurrent callers). The
 // compilation is shared process-wide per (graph, model) through the plan
@@ -100,8 +79,8 @@ func (s *Sampler) Plan() *Plan {
 	return s.pc.plan.Load()
 }
 
-// PlanBytes reports the compiled plan's memory, 0 if it was never compiled
-// (oracle-only samplers). Non-forcing, for memory accounting.
+// PlanBytes reports the compiled plan's memory, 0 if it was not compiled
+// yet. Non-forcing, for memory accounting.
 func (s *Sampler) PlanBytes() int64 {
 	if p := s.pc.plan.Load(); p != nil {
 		return p.Bytes()
@@ -153,53 +132,8 @@ func (s *Sampler) AppendSample(r *rng.Source, st *State, buf []uint32) (newBuf [
 	start := len(buf)
 	st.marks.Visit(int32(root))
 	buf = append(buf, root)
-	if s.kernel == KernelPlan {
-		buf, width = s.Plan().appendSample(r, st, buf, start, root)
-	} else {
-		buf, width = s.appendOracle(r, st, buf, start, root)
-	}
+	buf, width = s.Plan().appendSample(r, st, buf, start, root)
 	return buf, len(buf) - start, width
-}
-
-// appendOracle is the direct-translation sampling kernel: one float
-// Bernoulli draw per IC edge examined, one binary search per LT step. It is
-// the distribution oracle the plan kernels are validated against
-// (plan_test.go) and stays selectable through KernelOracle.
-func (s *Sampler) appendOracle(r *rng.Source, st *State, buf []uint32, start int, root uint32) ([]uint32, int64) {
-	g := s.g
-	width := int64(g.InDegree(root))
-	if s.model == diffusion.IC {
-		// Reverse BFS: edge (u,x) is live with probability w(u,x); every
-		// in-edge of a member is examined exactly once.
-		for head := start; head < len(buf); head++ {
-			x := buf[head]
-			adj, ws := g.InNeighbors(x)
-			for i, u := range adj {
-				if st.marks.Contains(int32(u)) {
-					continue
-				}
-				if r.Float64() < float64(ws[i]) {
-					st.marks.Visit(int32(u))
-					buf = append(buf, u)
-					width += int64(g.InDegree(u))
-				}
-			}
-		}
-	} else {
-		// LT reverse walk: at x pick one in-neighbour proportionally to
-		// w(u,x) (stop with probability 1 − Σw); terminate on revisit.
-		x := root
-		for {
-			u, ok := g.SampleLTInNeighbor(x, r.Float64())
-			if !ok || !st.marks.Visit(int32(u)) {
-				break
-			}
-			buf = append(buf, u)
-			width += int64(g.InDegree(u))
-			x = u
-		}
-	}
-	return buf, width
 }
 
 // Sample generates one RR set into a fresh slice (convenience for tests).

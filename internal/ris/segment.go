@@ -47,7 +47,7 @@ type csrBlock struct {
 	ids        []int32 // global RR-set ids, ascending within each node's run
 
 	spilled *spillMapping // non-nil ⇒ starts/ids alias the spill file
-	lastUse uint64        // spill-LRU recency; read/written atomically
+	lastUse atomic.Uint64 // spill-LRU recency
 }
 
 // segment is one arena + CSR index over a sub-stream of RR sets. It is not
@@ -81,7 +81,7 @@ type arenaExtent struct {
 	base, end      int64
 	data           []uint32
 	mapped         *spillMapping
-	lastUse        uint64 // spill-LRU recency; read/written atomically
+	lastUse        atomic.Uint64 // spill-LRU recency
 }
 
 func newSegment(n int) *segment {
@@ -118,7 +118,7 @@ func (sg *segment) extentAt(i int) *arenaExtent {
 	}
 	e := &sg.exts[lo]
 	if e.mapped == nil && sg.spill != nil {
-		atomic.StoreUint64(&e.lastUse, sg.spill.tick())
+		e.lastUse.Store(sg.spill.tick())
 	}
 	return e
 }
@@ -141,15 +141,14 @@ func (sg *segment) seal() {
 	if len(sg.buf) == 0 {
 		return
 	}
-	var use uint64
-	if sg.spill != nil {
-		use = sg.spill.tick()
-	}
 	sg.exts = append(sg.exts, arenaExtent{
 		setFrom: sg.tailSet, setTo: sg.nsets(),
 		base: sg.tailBase, end: sg.tailBase + int64(len(sg.buf)),
-		data: sg.buf, lastUse: use,
+		data: sg.buf,
 	})
+	if sg.spill != nil {
+		sg.exts[len(sg.exts)-1].lastUse.Store(sg.spill.tick())
+	}
 	sg.tailSet = sg.nsets()
 	sg.tailBase += int64(len(sg.buf))
 	sg.buf = nil
@@ -496,7 +495,7 @@ func (p *Postings) Next() ([]int32, bool) {
 				continue
 			}
 			if p.sp != nil && b.spilled == nil {
-				atomic.StoreUint64(&b.lastUse, p.sp.tick())
+				b.lastUse.Store(p.sp.tick())
 			}
 			run := b.ids[b.starts[p.v]:b.starts[p.v+1]]
 			if b.from < p.from {

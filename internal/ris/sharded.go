@@ -136,7 +136,6 @@ func NewRemoteShardedCollection(s *Sampler, seed uint64, opt StoreOptions) *Shar
 	spec := shardSpec{
 		n:       uint32(n),
 		model:   uint8(s.model),
-		kernel:  uint8(s.kernel),
 		seed:    seed,
 		workers: uint32(workers),
 		weights: s.weights,
@@ -514,30 +513,6 @@ func (sc *ShardedCollection) PostingsRange(v uint32, from, upto int) Postings {
 	return Postings{blocks: sc.segs[0].blocks, more: sc.segs[1:], sp: sc.spill, v: v, from: from, upto: upto}
 }
 
-// CoverageRange counts how many RR sets with ids in [from, to) contain at
-// least one marked node (Cov_R(S) over the range, Eq. (1) restricted to a
-// window — D-SSA's Cov over R^c_t). This is the naive arena scan, O(items
-// in the window) regardless of the seed set; hot paths use the
-// index-driven CoverageRangeSeeds, and CoverageRange stays as the
-// straightforward oracle the equivalence tests check it against.
-func (sc *ShardedCollection) CoverageRange(seedMark []bool, from, to int) int64 {
-	var cov int64
-	sc.ForEachSet(from, to, func(_ int, set []uint32) {
-		for _, v := range set {
-			if seedMark[v] {
-				cov++
-				break
-			}
-		}
-	})
-	return cov
-}
-
-// Coverage counts Cov_R(S) over the whole stream for a seed mark vector.
-func (sc *ShardedCollection) Coverage(seedMark []bool) int64 {
-	return sc.CoverageRange(seedMark, 0, sc.length)
-}
-
 // CoverageRangeSeeds counts the sets in [from, to) containing at least one
 // seed via per-shard postings walks merged through the shared epoch-stamped
 // mark set; duplicate seeds are tolerated (the union dedupes them). The
@@ -587,9 +562,4 @@ func (sc *ShardedCollection) remoteCoverageSeeds(seeds []uint32, from, to int) i
 		}
 	}
 	return total
-}
-
-// CoverageSeeds counts Cov_R(S) over the whole stream via the index.
-func (sc *ShardedCollection) CoverageSeeds(seeds []uint32) int64 {
-	return sc.CoverageRangeSeeds(seeds, 0, sc.length)
 }

@@ -44,8 +44,8 @@ func assertStoresEqual(t *testing.T, ctx string, ref *ShardedCollection, got Sto
 	}
 	half := ref.Len() / 2
 	for _, w := range [][2]int{{0, ref.Len()}, {half, ref.Len()}, {half / 2, half}} {
-		if a, b := ref.CoverageRange(mark, w[0], w[1]), got.CoverageRange(mark, w[0], w[1]); a != b {
-			t.Fatalf("%s: CoverageRange[%d,%d) %d vs %d", ctx, w[0], w[1], b, a)
+		if a, b := scanCoverage(ref, mark, w[0], w[1]), scanCoverage(got, mark, w[0], w[1]); a != b {
+			t.Fatalf("%s: scanned coverage [%d,%d) %d vs %d", ctx, w[0], w[1], b, a)
 		}
 		if a, b := ref.CoverageRangeSeeds(seeds, w[0], w[1]), got.CoverageRangeSeeds(seeds, w[0], w[1]); a != b {
 			t.Fatalf("%s: CoverageRangeSeeds[%d,%d) %d vs %d", ctx, w[0], w[1], b, a)

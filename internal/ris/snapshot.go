@@ -23,7 +23,8 @@ import (
 // file's layout (and the .sasg convention): each block is a 64-byte header
 // (magic, kind, payload length, CRC32C) followed by the payload, padded to
 // the next 64-byte boundary. The first block is the store meta — seed,
-// model/kernel, shard topology, epoch table and per-segment descriptors —
+// model, kernel byte, shard topology, epoch table and per-segment
+// descriptors —
 // and the rest are the raw offset tables, gid tables, arena extents and CSR
 // index blocks, in the order the meta declares them. Payloads are host-order
 // images (like the spill file, the snapshot is per-host state, not an
@@ -85,8 +86,8 @@ func snapAlignUp(v int64) int64 { return (v + snapAlign - 1) &^ (snapAlign - 1) 
 var ErrNoSnapshot = errors.New("ris: no snapshot")
 
 // SnapshotMismatchError reports a committed snapshot that describes a
-// different store than the one being recovered (other seed, graph, kernel or
-// shard topology). Callers start cold and may keep or replace the snapshot.
+// different store than the one being recovered (other seed, graph, model,
+// kernel byte or shard topology). Callers start cold and may keep or replace the snapshot.
 type SnapshotMismatchError struct{ Reason string }
 
 func (e *SnapshotMismatchError) Error() string {
@@ -267,7 +268,7 @@ func (sw *snapWriter) block(kind byte, parts ...[]byte) {
 type storeMeta struct {
 	seed     uint64
 	model    uint8
-	kernel   uint8
+	kernel   uint8 // sampling kernel; 0 (the compiled plan) is the only one
 	weighted bool
 	whash    uint64
 	scale    float64
@@ -299,7 +300,6 @@ func storeMetaOf(s *Sampler, seed uint64) storeMeta {
 	return storeMeta{
 		seed:     seed,
 		model:    uint8(s.model),
-		kernel:   uint8(s.kernel),
 		weighted: s.root != nil,
 		whash:    weightsHash(s.weights),
 		scale:    s.scale,

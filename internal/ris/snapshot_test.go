@@ -327,6 +327,25 @@ func TestSnapshotMismatch(t *testing.T) {
 	if _, _, err := Recover(lt, 42, snapOpt(0), dir); !errors.As(err, &mm) {
 		t.Fatalf("wrong model: %v, want SnapshotMismatchError", err)
 	}
+	// A meta naming a sampling kernel other than the compiled plan (0)
+	// describes a different stream, whatever its sets hold.
+	sc := st.(*ShardedCollection)
+	m := storeMetaOf(s, 42)
+	m.kernel, m.length, m.shards, m.epochs = 1, sc.length, 1, sc.epochs
+	kdir := t.TempDir()
+	if _, err := persistStore(kdir, OSSnapshotFS, m, sc.segs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(s, 42, snapOpt(0), kdir); !errors.As(err, &mm) {
+		t.Fatalf("kernel byte 1: %v, want SnapshotMismatchError", err)
+	}
+	m.kernel = 0
+	if _, err := persistStore(kdir, OSSnapshotFS, m, sc.segs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(s, 42, snapOpt(0), kdir); err != nil {
+		t.Fatalf("kernel byte 0: %v", err)
+	}
 
 	// A mangled manifest is corrupt, not torn.
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{oops"), 0o644); err != nil {

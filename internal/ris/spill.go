@@ -224,8 +224,8 @@ type spillState struct {
 	budget int64
 	dir    string
 	f      *SpillFile
-	clock  uint64 // atomic LRU recency source
-	err    error  // first spill failure; sticky
+	clock  atomic.Uint64 // LRU recency source
+	err    error         // first spill failure; sticky
 
 	// testWriteAt, when set, replaces the file's append write path (disk
 	// full / I/O error injection).
@@ -237,7 +237,7 @@ func newSpillState(budget int64, dir string) *spillState {
 }
 
 // tick returns the next LRU recency stamp.
-func (sp *spillState) tick() uint64 { return atomic.AddUint64(&sp.clock, 1) }
+func (sp *spillState) tick() uint64 { return sp.clock.Add(1) }
 
 func (sp *spillState) file() (*SpillFile, error) {
 	if sp.f == nil {
@@ -285,7 +285,7 @@ func (sp *spillState) enforce(budget int64, segs []*segment) error {
 				if e.mapped != nil {
 					continue
 				}
-				if use := atomic.LoadUint64(&e.lastUse); !found || use < oldest {
+				if use := e.lastUse.Load(); !found || use < oldest {
 					vsg, vext, vblk, oldest, found = sg, ei, -1, use, true
 				}
 			}
@@ -294,7 +294,7 @@ func (sp *spillState) enforce(budget int64, segs []*segment) error {
 				if b.spilled != nil {
 					continue
 				}
-				if use := atomic.LoadUint64(&b.lastUse); !found || use < oldest {
+				if use := b.lastUse.Load(); !found || use < oldest {
 					vsg, vext, vblk, oldest, found = sg, -1, bi, use, true
 				}
 			}

@@ -175,8 +175,8 @@ func storeObservables(t *testing.T, ctx string, ref, got Store) {
 		if g, w := got.CoverageRangeSeeds(seeds, r[0], r[1]), ref.CoverageRangeSeeds(seeds, r[0], r[1]); g != w {
 			t.Fatalf("%s: CoverageRangeSeeds[%d,%d) %d vs %d", ctx, r[0], r[1], g, w)
 		}
-		if g, w := got.CoverageRange(mark, r[0], r[1]), ref.CoverageRange(mark, r[0], r[1]); g != w {
-			t.Fatalf("%s: CoverageRange[%d,%d) %d vs %d", ctx, r[0], r[1], g, w)
+		if g, w := scanCoverage(got, mark, r[0], r[1]), scanCoverage(ref, mark, r[0], r[1]); g != w {
+			t.Fatalf("%s: scanned coverage [%d,%d) %d vs %d", ctx, r[0], r[1], g, w)
 		}
 	}
 }

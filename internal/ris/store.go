@@ -67,16 +67,9 @@ type Store interface {
 	PostingsUpto(v uint32, upto int) Postings
 	// PostingsRange iterates the ids in [from, upto) of RR sets containing v.
 	PostingsRange(v uint32, from, upto int) Postings
-	// CoverageRange counts sets in [from, to) hitting the seed mark vector
-	// (the arena-scan oracle).
-	CoverageRange(seedMark []bool, from, to int) int64
-	// Coverage counts Cov_R(S) over the whole stream for a mark vector.
-	Coverage(seedMark []bool) int64
 	// CoverageRangeSeeds counts sets in [from, to) containing at least one
-	// seed, via the inverted index (the hot-path form).
+	// seed, via the inverted index.
 	CoverageRangeSeeds(seeds []uint32, from, to int) int64
-	// CoverageSeeds counts Cov_R(S) over the whole stream via the index.
-	CoverageSeeds(seeds []uint32) int64
 }
 
 // SpilledStore is the optional Store extension of stores that can tier cold

@@ -8,6 +8,7 @@ import (
 	"stopandstare/internal/diffusion"
 	"stopandstare/internal/gen"
 	"stopandstare/internal/graph"
+	"stopandstare/internal/rng"
 )
 
 func benchGraph(b *testing.B) *graph.Graph {
@@ -37,20 +38,26 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkGenerateKernels compares the compiled plan kernels against the
-// Bernoulli/binary-search oracle on identical single-worker workloads, per
-// model — the per-PR perf suite (imbench -perf) runs the same pair on a
-// high-degree preset where the win is larger.
+// Bernoulli/binary-search oracle (oracle_test.go), drawing 20000 sets per
+// op on one goroutine, per model.
 func BenchmarkGenerateKernels(b *testing.B) {
 	g := benchGraph(b)
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, kernel := range []Kernel{KernelPlan, KernelOracle} {
-			b.Run(model.String()+"/"+kernel.String(), func(b *testing.B) {
-				s := mustSampler(b, g, model).WithKernel(kernel)
+		s := mustSampler(b, g, model)
+		s.Plan()
+		for _, name := range []string{"plan", "oracle"} {
+			sample := kernels(s)[name]
+			b.Run(model.String()+"/"+name, func(b *testing.B) {
+				st := s.NewState()
+				var r rng.Source
+				var buf []uint32
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					col := newOneShard(s, uint64(i)+1, 1)
-					col.GenerateTo(20000)
+					for j := 0; j < 20000; j++ {
+						r.SeedStream(uint64(i)+1, uint64(j))
+						buf, _, _ = sample(&r, st, buf[:0])
+					}
 				}
 			})
 		}
@@ -146,7 +153,7 @@ func BenchmarkCoverageRangeScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col.CoverageRange(mark, half, col.Len())
+		scanCoverage(col, mark, half, col.Len())
 	}
 }
 

@@ -131,20 +131,21 @@ func decodeWorkerMeta(payload []byte, path string, n int) ([]workerShardMeta, er
 	return out, nil
 }
 
+// errSpecKernel rejects a shard spec whose kernel byte is not 0: the
+// compiled plan is the only sampler, and a shard must not silently draw a
+// different stream than the coordinator asked for.
+var errSpecKernel = errors.New("ris: shard spec names a sampling kernel other than the compiled plan")
+
 // samplerForSpec builds the sampler a shard spec describes (the open path
 // and the recovery path must agree exactly).
 func samplerForSpec(s *ShardServer, spec shardSpec) (*Sampler, error) {
-	var sampler *Sampler
-	var err error
+	if spec.kernel != 0 {
+		return nil, fmt.Errorf("%w (kernel %d)", errSpecKernel, spec.kernel)
+	}
 	if len(spec.weights) > 0 {
-		sampler, err = NewWeightedSampler(s.g, diffusion.Model(spec.model), spec.weights)
-	} else {
-		sampler, err = NewSampler(s.g, diffusion.Model(spec.model))
+		return NewWeightedSampler(s.g, diffusion.Model(spec.model), spec.weights)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return sampler.WithKernel(Kernel(spec.kernel)), nil
+	return NewSampler(s.g, diffusion.Model(spec.model))
 }
 
 // recoverShards restores shard states from the committed snapshot in dir.

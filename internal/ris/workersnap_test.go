@@ -200,7 +200,7 @@ func remoteObservables(t *testing.T, ctx string, ref, got ris.Store) {
 		mark[v] = true
 	}
 	for _, span := range [][2]int{{0, ref.Len()}, {ref.Len() / 3, 2 * ref.Len() / 3}, {ref.Len() / 2, ref.Len()}} {
-		if a, b := ref.CoverageRange(mark, span[0], span[1]), got.CoverageRange(mark, span[0], span[1]); a != b {
+		if a, b := ris.ScanCoverage(ref, mark, span[0], span[1]), ris.ScanCoverage(got, mark, span[0], span[1]); a != b {
 			t.Fatalf("%s: coverage[%d,%d) %d vs %d", ctx, span[0], span[1], b, a)
 		}
 	}

@@ -33,9 +33,6 @@ type BudgetedOptions struct {
 	// per-shard parallelism (≤0 derives Workers/Shards).
 	Shards       int
 	ShardWorkers int
-	// Kernel selects the RR sampling implementation (plan kernels by
-	// default, ris.KernelOracle for the Bernoulli oracle).
-	Kernel ris.Kernel
 	// Samples optionally fixes the number of WRIS samples; 0 derives an
 	// Eq. 14-style threshold from the instance (see BudgetedMaximize).
 	Samples int
@@ -154,7 +151,7 @@ func BudgetedMaximize(t *Instance, model diffusion.Model, opt BudgetedOptions) (
 //
 // Each Maximize(budget) is solved on the stream prefix of length
 // θ(budget), so its result is a pure function of (instance, model, seed,
-// kernel, ε, δ, budget) — independent of what was queried before, and
+// ε, δ, budget) — independent of what was queried before, and
 // bit-identical to a cold BudgetedMaximize at the same parameters when
 // Samples is pinned.
 type BudgetedSession struct {
@@ -168,7 +165,7 @@ type BudgetedSession struct {
 }
 
 // NewBudgetedSession builds a budgeted serving session. opt fixes the
-// stream (costs, ε, δ, seed, workers, shards, kernel, optional pinned
+// stream (costs, ε, δ, seed, workers, shards, optional pinned
 // Samples); opt.Budget is ignored — budgets arrive per query.
 func NewBudgetedSession(t *Instance, model diffusion.Model, opt BudgetedOptions) (*BudgetedSession, error) {
 	if err := opt.normalize(t.G.NumNodes()); err != nil {
@@ -178,7 +175,6 @@ func NewBudgetedSession(t *Instance, model diffusion.Model, opt BudgetedOptions)
 	if err != nil {
 		return nil, err
 	}
-	s = s.WithKernel(opt.Kernel)
 	store := ris.NewStore(s, opt.Seed, ris.StoreOptions{
 		Workers: opt.Workers, Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
 	})

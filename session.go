@@ -123,7 +123,7 @@ type SessionOptions struct {
 	SpillDir string
 	// StateDir, when non-empty, makes the session durable: NewSession
 	// recovers the RR store from the directory's committed snapshot (if its
-	// seed, kernel, model and shard topology match — verified, with
+	// seed, model and shard topology match — verified, with
 	// corrupted block suffixes discarded and resampled deterministically),
 	// and Session.Persist writes crash-safe snapshots back. Recovery is
 	// best-effort: a missing, mismatched or unreadable snapshot simply
@@ -131,8 +131,6 @@ type SessionOptions struct {
 	// bit-identical either way — a recovered store holds exactly the sets a
 	// cold one would regenerate.
 	StateDir string
-	// Kernel selects the RR sampling implementation (see Options.Kernel).
-	Kernel Kernel
 	// Weights, when non-nil, makes this a weighted (targeted viral
 	// marketing) session: roots are drawn proportionally to Weights[v] ≥ 0
 	// and results estimate benefit B(S) instead of influence. Must have one
@@ -186,8 +184,8 @@ type SessionStats struct {
 	// alignment padding included (the spill-tier overhead is the difference
 	// from StoreSpilledBytes).
 	SpillFileBytes int64
-	// PlanBytes is the compiled sampling plan's memory (0 if the session's
-	// kernel never forced a compile). Shared per (graph, model).
+	// PlanBytes is the compiled sampling plan's memory (0 before the
+	// session's first sampling compiled it). Shared per (graph, model).
 	PlanBytes int64
 	// GraphResidentBytes is the graph arrays' private heap footprint — the
 	// whole graph for built/loaded graphs, 0 for mmap-ed ones. Like
@@ -237,7 +235,6 @@ func NewSession(g *Graph, model Model, opt SessionOptions) (*Session, error) {
 	} else if sampler, err = ris.NewSampler(g, model); err != nil {
 		return nil, err
 	}
-	sampler = sampler.WithKernel(opt.Kernel)
 	sopt := ris.StoreOptions{
 		Workers: opt.Workers, Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
 		RemoteWorkers: opt.RemoteWorkers, RemoteTimeout: opt.RemoteTimeout,
@@ -318,31 +315,7 @@ func (s *Session) MaximizeContext(ctx context.Context, q Query) (*Result, error)
 	return s.maximize(ctx, q)
 }
 
-// growthCanceled carries a context error out of sessionEnv.Ensure (the
-// error-free core.Exec surface) to maximize's recover, mirroring how
-// *ris.ShardError escapes the error-free Store interface.
-type growthCanceled struct{ err error }
-
-func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error) {
-	// The Store interface is error-free, so a remote-sharded store raises
-	// worker failures as *ris.ShardError panics; this is the surface that
-	// turns them back into ordinary errors (degraded mode: the session
-	// stays usable and retries once workers return). Canceled growths
-	// arrive the same way, as *growthCanceled. Lock discipline is
-	// panic-safe below here — core brackets store reads with deferred
-	// releases — so no session lock is held when we land in this recover.
-	defer func() {
-		if p := recover(); p != nil {
-			switch v := p.(type) {
-			case *ris.ShardError:
-				res, err = nil, v
-			case *growthCanceled:
-				res, err = nil, v.err
-			default:
-				panic(p)
-			}
-		}
-	}()
+func (s *Session) maximize(ctx context.Context, q Query) (*Result, error) {
 	algo := q.Algorithm
 	if algo == "" {
 		algo = DSSA
@@ -356,20 +329,17 @@ func (s *Session) maximize(ctx context.Context, q Query) (res *Result, err error
 	copt := core.Options{
 		K: q.K, Epsilon: q.Epsilon, Delta: q.Delta,
 		Seed: s.opt.Seed, Workers: s.opt.Workers,
-		Kernel: s.opt.Kernel,
-		Eps1:   q.Eps1, Eps2: q.Eps2, Eps3: q.Eps3,
+		Eps1: q.Eps1, Eps2: q.Eps2, Eps3: q.Eps3,
 		Trace: q.OnCheckpoint,
 	}
 	if s.inst != nil && q.K >= 1 {
 		copt.OptLowerBound = s.inst.OptLowerBound(q.K)
 	}
-	env := sessionEnv{s: s, ctx: ctx}
-	var cres *core.Result
+	run := core.SSAWith
 	if algo == DSSA {
-		cres, err = core.DSSAWith(copt, env)
-	} else {
-		cres, err = core.SSAWith(copt, env)
+		run = core.DSSAWith
 	}
+	cres, err := run(copt, sessionEnv{s: s, ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -506,13 +476,12 @@ func (e sessionEnv) Ensure(target int) bool {
 	func() {
 		s.mu.Lock()
 		// Deferred so a remote shard's failure panic (*ris.ShardError) or a
-		// canceled growth (*growthCanceled, raised below) cannot leak the
-		// write lock on its way to maximize's recover.
+		// canceled growth (core.Abort, called below) cannot leak the write
+		// lock on its way to core's recover.
 		defer s.mu.Unlock()
 		grew = s.store.Len() < target // another query may have topped up first
 		if err := s.store.GenerateToCtx(e.ctx, target); err != nil {
-			grew = false // canceled top-ups mutate nothing
-			panic(&growthCanceled{err: err})
+			core.Abort(err) // canceled top-ups mutate nothing
 		}
 	}()
 	if grew {

@@ -86,25 +86,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("stopandstare: unknown algorithm %q (have %v)", s, Algorithms())
 }
 
-// Kernel selects the RR-set sampling implementation (see Options.Kernel).
-type Kernel = ris.Kernel
-
-// The sampling kernels.
-const (
-	// KernelPlan samples through the compiled per-(graph, model) plan:
-	// geometric edge-skipping on uniform-weight (weighted-cascade) nodes,
-	// fused integer-threshold Bernoulli records on mixed-weight nodes, and
-	// alias-table LT walks. The default.
-	KernelPlan = ris.KernelPlan
-	// KernelOracle samples through the direct per-edge float Bernoulli /
-	// binary-search implementation — the distribution oracle the plan
-	// kernels are validated against.
-	KernelOracle = ris.KernelOracle
-)
-
-// ParseKernel resolves "plan" or "oracle" ("" selects the default).
-func ParseKernel(s string) (Kernel, error) { return ris.ParseKernel(s) }
-
 // Options configures Maximize.
 type Options struct {
 	// K is the seed budget (required, 1 ≤ K ≤ n).
@@ -128,13 +109,6 @@ type Options struct {
 	// ShardWorkers bounds per-shard generation parallelism
 	// (≤0 derives max(1, Workers/Shards)).
 	ShardWorkers int
-	// Kernel selects the RR sampling implementation for the RIS algorithms:
-	// the compiled plan kernels (KernelPlan, the default) or the Bernoulli
-	// oracle (KernelOracle). Both draw from the same distribution — results
-	// are equivalent statistically and carry the same guarantees — but they
-	// consume different PRNG sequences, so runs are deterministic per
-	// (Kernel, Seed), not across kernels.
-	Kernel Kernel
 	// MCRuns is the Monte-Carlo budget for CELF/CELF++ spread estimates
 	// (0 ⇒ 10,000, the paper's setting).
 	MCRuns int
@@ -215,7 +189,6 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 		sess, err := NewSession(g, model, SessionOptions{
 			Seed: opt.Seed, Workers: opt.Workers,
 			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-			Kernel: opt.Kernel,
 		})
 		if err != nil {
 			return nil, err
@@ -231,8 +204,7 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 		}
 		bopt := baselines.Options{K: opt.K, Epsilon: opt.Epsilon, Delta: opt.Delta,
 			Seed: opt.Seed, Workers: opt.Workers,
-			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-			Kernel: opt.Kernel}
+			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers}
 		var res *baselines.Result
 		switch algo {
 		case IMM:
@@ -256,8 +228,7 @@ func Maximize(g *Graph, model Model, algo Algorithm, opt Options) (*Result, erro
 		res, err := baselines.Borgs(s, baselines.BorgsOptions{
 			Options: baselines.Options{K: opt.K, Epsilon: opt.Epsilon, Delta: opt.Delta,
 				Seed: opt.Seed, Workers: opt.Workers,
-				Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-				Kernel: opt.Kernel},
+				Shards: opt.Shards, ShardWorkers: opt.ShardWorkers},
 			C: opt.BorgsC,
 		})
 		if err != nil {

@@ -205,49 +205,6 @@ func TestDeterministicFacade(t *testing.T) {
 	}
 }
 
-func TestKernelFacade(t *testing.T) {
-	// Both sampling kernels must run end-to-end through the public API,
-	// each deterministic across worker counts, each returning a sane
-	// estimate on the same instance. Sets differ per kernel (different
-	// draw sequences), so the influence estimates agree only statistically.
-	g := testGraph(t)
-	est := map[Kernel]float64{}
-	for _, kernel := range []Kernel{KernelPlan, KernelOracle} {
-		a, err := Maximize(g, IC, DSSA, Options{K: 8, Epsilon: 0.2, Seed: 21, Workers: 1, Kernel: kernel})
-		if err != nil {
-			t.Fatalf("kernel %v: %v", kernel, err)
-		}
-		b, err := Maximize(g, IC, DSSA, Options{K: 8, Epsilon: 0.2, Seed: 21, Workers: 3, Kernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Seeds {
-			if a.Seeds[i] != b.Seeds[i] {
-				t.Fatalf("kernel %v: results differ across worker counts", kernel)
-			}
-		}
-		if len(a.Seeds) != 8 || a.InfluenceEstimate <= 0 {
-			t.Fatalf("kernel %v: degenerate result %+v", kernel, a)
-		}
-		est[kernel] = a.InfluenceEstimate
-	}
-	// ε = 0.2 runs on the same instance: the two kernels' estimates of the
-	// same OPT must land in the same ballpark (generous 2ε relative gap).
-	lo, hi := est[KernelPlan], est[KernelOracle]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi-lo > 0.4*hi {
-		t.Fatalf("kernel estimates diverge: plan %.1f vs oracle %.1f", est[KernelPlan], est[KernelOracle])
-	}
-	if _, err := ParseKernel("oracle"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseKernel("nope"); err == nil {
-		t.Fatal("bad kernel name should fail")
-	}
-}
-
 func TestMaximizeBudgetedFacade(t *testing.T) {
 	g := testGraph(t)
 	topics, err := GenerateTopics(g, 17)

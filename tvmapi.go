@@ -49,7 +49,7 @@ func MaximizeTargeted(g *Graph, model Model, weights []float64, algo Algorithm, 
 		sess, err := NewSession(g, model, SessionOptions{
 			Seed: opt.Seed, Workers: opt.Workers,
 			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-			Kernel: opt.Kernel, Weights: weights,
+			Weights: weights,
 		})
 		if err != nil {
 			return nil, err
@@ -64,7 +64,7 @@ func MaximizeTargeted(g *Graph, model Model, weights []float64, algo Algorithm, 
 	case TIMPlus:
 		res, err := tvm.KBTIM(inst, model, baselines.Options{K: opt.K,
 			Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers, Kernel: opt.Kernel})
+			Shards: opt.Shards, ShardWorkers: opt.ShardWorkers})
 		if err != nil {
 			return nil, err
 		}
@@ -91,8 +91,6 @@ type BudgetedOptions struct {
 	// Shards/ShardWorkers select the id-sharded RR store, as in Options.
 	Shards       int
 	ShardWorkers int
-	// Kernel selects the RR sampling implementation, as in Options.
-	Kernel Kernel
 }
 
 // BudgetedTVMResult reports a cost-aware targeted run.
@@ -120,7 +118,6 @@ func MaximizeBudgeted(g *Graph, model Model, weights []float64, opt BudgetedOpti
 		Budget: opt.Budget, Costs: opt.Costs, Epsilon: opt.Epsilon,
 		Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
 		Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-		Kernel: opt.Kernel,
 	})
 	if err != nil {
 		return nil, err
@@ -146,7 +143,6 @@ func MaximizeBudgetedSweep(g *Graph, model Model, weights []float64, budgets []f
 		Costs: opt.Costs, Epsilon: opt.Epsilon,
 		Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
 		Shards: opt.Shards, ShardWorkers: opt.ShardWorkers,
-		Kernel: opt.Kernel,
 	})
 	if err != nil {
 		return nil, err
